@@ -28,7 +28,7 @@ use qcs_compress::stats::{
 };
 use qcs_compress::trunc::truncation_levels;
 use qcs_compress::{CodecId, ErrorBound, PWR_LEVELS};
-use qcs_core::{fidelity_curve, CompressedSimulator, Eviction, SimConfig};
+use qcs_core::{fidelity_curve, CompressedSimulator, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -781,27 +781,19 @@ fn table_spill(dir: &Path) {
     // budget while the amplitudes stay bit-identical (pinned by
     // tests/out_of_core.rs).
     //
-    // Each budget runs a small pipeline matrix. The first row is the PR-4
-    // regime (prefetch off, LRU victims, synchronous eviction writes:
-    // every cold block a blocking seek-and-read). The remaining rows all
-    // keep prefetch on and sweep eviction policy x write mode:
+    // Each spilled budget runs both eviction write modes, with the
+    // plan-driven prefetch pipeline staging the next chunk's frames:
     //
-    //   policy  lru  — least-recently-used victims (plan-blind)
-    //           min  — Belady's MIN over the schedule's AccessPlan: evict
-    //                  the resident block whose next planned use is
-    //                  furthest away
     //   writes  sync — eviction writes the frame to its segment file
-    //                  inline, on the critical path
+    //                 inline, on the critical path
     //           wb   — write-behind: eviction parks the frame in a dirty
-    //                  buffer and a writer thread drains it to disk while
-    //                  the compute pipeline keeps going
+    //                 buffer and a writer thread drains it to disk while
+    //                 the compute pipeline keeps going
     //
-    // The pf-hit / blocking columns make the pipelines directly
-    // comparable: with prefetch on, staged hits replace blocking fetches;
-    // with MIN victims the blocks the plan touches soonest stay resident,
-    // so blocking fetches fall again; with write-behind the eviction half
-    // of spill I/O moves off the critical path (the wb io column counts
-    // the writer thread's time, which overlaps compute).
+    // The pf-hit / blocking columns show how much fetch traffic the
+    // prefetcher overlapped; with write-behind the eviction half of spill
+    // I/O moves off the critical path (the wb io column counts the writer
+    // thread's time, which overlaps compute).
     let workloads: Vec<(&'static str, qcs_circuits::Circuit)> = vec![
         ("qft_18", qft_benchmark_circuit(18, 12)),
         ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
@@ -810,8 +802,6 @@ fn table_spill(dir: &Path) {
         "workload",
         "qubits",
         "budget (blk)",
-        "prefetch",
-        "policy",
         "writes",
         "wall (s)",
         "peak MB",
@@ -826,36 +816,24 @@ fn table_spill(dir: &Path) {
         "wb MB",
         "wb io (ms)",
     ]);
-    // (prefetch, eviction policy, write-behind) per row; `None` marks the
-    // all-resident row where the knobs are moot.
-    type Mode = Option<(bool, Eviction, bool)>;
-    let spilled_modes: &[Mode] = &[
-        Some((false, Eviction::Lru, false)), // PR-4 regime
-        Some((true, Eviction::Lru, false)),
-        Some((true, Eviction::Lru, true)),
-        Some((true, Eviction::PlannedMin, false)),
-        Some((true, Eviction::PlannedMin, true)),
-    ];
     for (name, circuit) in workloads {
         let n = circuit.num_qubits() as u32;
         let bpr = 1usize << (n - 10); // block_log2 = 10, one rank
         let mut budgets = vec![None, Some(bpr / 4), Some(bpr / 16), Some(4)];
         budgets.dedup();
         for budget in budgets {
-            let modes: &[Mode] = match budget {
-                None => &[None], // all-resident: nothing to evict or prefetch
-                Some(_) => spilled_modes,
+            // `None` marks the all-resident row, where the write mode is moot.
+            let modes: &[Option<bool>] = match budget {
+                None => &[None],
+                Some(_) => &[Some(false), Some(true)],
             };
-            for &mode in modes {
+            for &write_behind in modes {
                 let mut cfg = SimConfig::default().with_block_log2(10);
                 if let Some(blocks) = budget {
                     cfg = cfg.with_spill(blocks);
                 }
-                if let Some((prefetch, eviction, write_behind)) = mode {
-                    cfg = cfg
-                        .with_prefetch(prefetch)
-                        .with_eviction(eviction)
-                        .with_write_behind(write_behind);
+                if let Some(wb) = write_behind {
+                    cfg = cfg.with_write_behind(wb);
                 }
                 let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
                 let mut rng = StdRng::seed_from_u64(0);
@@ -867,11 +845,7 @@ fn table_spill(dir: &Path) {
                     name.to_string(),
                     format!("{n}"),
                     budget.map_or("all".to_string(), |b| format!("{b}")),
-                    mode.map_or("-".to_string(), |(p, _, _)| {
-                        if p { "on" } else { "off" }.to_string()
-                    }),
-                    mode.map_or("-".to_string(), |(_, e, _)| e.name().to_string()),
-                    mode.map_or("-".to_string(), |(_, _, wb)| {
+                    write_behind.map_or("-".to_string(), |wb| {
                         if wb { "wb" } else { "sync" }.to_string()
                     }),
                     format!("{wall:.2}"),
@@ -892,7 +866,7 @@ fn table_spill(dir: &Path) {
         println!("... {name} done");
     }
     finish(&t, dir, "table_spill");
-    println!("expected: peak memory falls with the budget; staged hits replace blocking fetches once prefetch is on; min victims cut blocking fetches further at tight budgets; write-behind moves eviction i/o off the critical path (io ms falls, wb io ms absorbs it)");
+    println!("expected: peak memory falls with the budget; staged hits replace most blocking fetches; write-behind moves eviction i/o off the critical path (io ms falls, wb io ms absorbs it)");
 }
 
 fn table_partial(dir: &Path) {
@@ -908,10 +882,8 @@ fn table_partial(dir: &Path) {
     // must not regress). Each runs the strict per-gate pipeline at a
     // fixed tight bound with a small resident budget, partial routing on
     // vs off, then answers a `P(q = 1)` sweep over the
-    // segment-granularity in-block qubits against the spilled state.
-    // Prefetch stays off so the query comparison isolates synchronous
-    // spill reads: whole frames (off) vs byte ranges (on). The `qry`
-    // columns are the query sweep's deltas; the rest cover the circuit
+    // segment-granularity in-block qubits against the spilled state:
+    // whole frames (off) vs byte ranges (on). The `qry` columns are the query sweep's deltas; the rest cover the circuit
     // run. Amplitudes must agree with the dense reference to 1e-10
     // either way, and the diagonal-heavy run must show the strict
     // segment/byte reductions (asserted below, not just printed).
@@ -944,7 +916,6 @@ fn table_partial(dir: &Path) {
             let cfg = SimConfig::default()
                 .with_block_log2(block_log2)
                 .with_spill(8)
-                .with_prefetch(false)
                 .with_fixed_bound(ErrorBound::PointwiseRelative(1e-13))
                 .without_cache()
                 .without_fusion()

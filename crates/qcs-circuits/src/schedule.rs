@@ -465,17 +465,6 @@ impl WaveAccess {
     pub fn is_empty(&self) -> bool {
         self.per_rank.iter().all(|v| v.is_empty())
     }
-
-    /// Position of the first planned access of `slot` in rank `rank`'s
-    /// ordered wave sequence — the next-use distance a Belady (MIN)
-    /// eviction policy keys on. `None` when the wave never touches `slot`
-    /// on that rank (or the rank index is out of range), which MIN reads
-    /// as "furthest away": the best possible eviction victim.
-    pub fn next_use_distance(&self, rank: usize, slot: usize) -> Option<usize> {
-        self.per_rank
-            .get(rank)
-            .and_then(|slots| slots.iter().position(|&s| s == slot))
-    }
 }
 
 /// A schedule's block-access plan: for every wave of every scheduled item,
@@ -715,31 +704,6 @@ impl AccessPlan {
             .iter()
             .flatten()
             .find(|w| !w.is_empty())
-    }
-
-    /// Rank `rank`'s planned accesses from scheduled item `from_item`
-    /// onward, flattened across waves in execution order — the exact
-    /// future-reference trace a Belady (MIN) eviction policy consumes.
-    pub fn rank_access_order(&self, rank: usize, from_item: usize) -> Vec<usize> {
-        self.per_item[from_item.min(self.per_item.len())..]
-            .iter()
-            .flatten()
-            .flat_map(|w| w.per_rank.get(rank).map(|v| v.as_slice()).unwrap_or(&[]))
-            .copied()
-            .collect()
-    }
-
-    /// Next-use distance of `slot` on rank `rank`, counted in planned
-    /// accesses starting at scheduled item `from_item`: the number of
-    /// planned block touches before the slot is needed again. `None` when
-    /// the remaining plan never touches the slot — the "furthest away"
-    /// answer MIN evicts first.
-    pub fn next_use_distance(&self, rank: usize, from_item: usize, slot: usize) -> Option<usize> {
-        self.per_item[from_item.min(self.per_item.len())..]
-            .iter()
-            .flatten()
-            .flat_map(|w| w.per_rank.get(rank).map(|v| v.as_slice()).unwrap_or(&[]))
-            .position(|&s| s == slot)
     }
 }
 

@@ -39,6 +39,11 @@ struct Inner {
     clock: u64,
 }
 
+/// Consecutive zero-hit lookups after which the cache disables itself
+/// (§3.4: "our simulator will disable the compressed block cache if the
+/// cache hit rate is always zero").
+pub const AUTO_DISABLE_AFTER: u64 = 512;
+
 /// Number of independently locked shards; keeps 20+ workers from
 /// serializing on one mutex when the hit rate is high.
 const SHARDS: usize = 16;
@@ -54,7 +59,6 @@ pub struct BlockCache {
     hits: AtomicU64,
     misses: AtomicU64,
     disabled: AtomicBool,
-    auto_disable_after: u64,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -70,9 +74,9 @@ impl std::fmt::Debug for BlockCache {
 
 impl BlockCache {
     /// Cache with `capacity` lines; auto-disables after
-    /// `auto_disable_after` consecutive misses with zero hits.
+    /// [`AUTO_DISABLE_AFTER`] consecutive misses with zero hits.
     /// `capacity == 0` builds a permanently disabled cache.
-    pub fn new(capacity: usize, auto_disable_after: u64) -> Self {
+    pub fn new(capacity: usize) -> Self {
         let shard_capacity = capacity.div_ceil(SHARDS);
         Self {
             shards: (0..SHARDS)
@@ -87,7 +91,6 @@ impl BlockCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disabled: AtomicBool::new(capacity == 0),
-            auto_disable_after,
         }
     }
 
@@ -128,7 +131,7 @@ impl BlockCache {
 
     fn note_miss(&self) {
         let m = self.misses.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.hits.load(Ordering::Relaxed) == 0 && m >= self.auto_disable_after {
+        if self.hits.load(Ordering::Relaxed) == 0 && m >= AUTO_DISABLE_AFTER {
             // "Disable the compressed block cache if the cache hit rate is
             // always zero" (§3.4).
             self.disabled.store(true, Ordering::Relaxed);
@@ -243,7 +246,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert() {
-        let cache = BlockCache::new(4, 1000);
+        let cache = BlockCache::new(4);
         let in1 = block(1, 100);
         let out1 = block(2, 80);
         assert!(cache.lookup(42, &in1, None).is_none());
@@ -257,7 +260,7 @@ mod tests {
 
     #[test]
     fn different_op_or_blocks_miss() {
-        let cache = BlockCache::new(4, 1000);
+        let cache = BlockCache::new(4);
         let in1 = block(1, 10);
         let in2 = block(2, 10);
         cache.insert(1, &in1, Some(&in2), &block(3, 5), Some(&block(4, 5)));
@@ -271,7 +274,7 @@ mod tests {
     fn eviction_bounds_resident_lines() {
         // Capacity 16 = one line per shard; flooding with distinct keys
         // must keep the aggregate size at or below the capacity.
-        let cache = BlockCache::new(16, 100_000);
+        let cache = BlockCache::new(16);
         for i in 0..200u8 {
             let b = block(i, 8);
             cache.insert(i as u64, &b, None, &b, None);
@@ -288,7 +291,7 @@ mod tests {
     fn within_shard_eviction_is_lru() {
         // One shard total: every key shares it, giving deterministic
         // global-LRU behavior to test the policy itself.
-        let cache = BlockCache::new(2, 1000);
+        let cache = BlockCache::new(2);
         // Force all keys into one shard by using a single-shard view:
         // capacity 2 with 16 shards gives shard_capacity 1, so same-shard
         // collisions evict immediately; instead exercise LRU through
@@ -304,9 +307,10 @@ mod tests {
 
     #[test]
     fn auto_disable_on_cold_stream() {
-        let cache = BlockCache::new(4, 10);
-        for i in 0..10u8 {
-            assert!(cache.lookup(i as u64, &block(i, 4), None).is_none());
+        let cache = BlockCache::new(4);
+        for i in 0..AUTO_DISABLE_AFTER {
+            assert!(!cache.is_disabled());
+            assert!(cache.lookup(i, &block(i as u8, 4), None).is_none());
         }
         assert!(cache.is_disabled());
         // Once disabled, even previously inserted lines stop answering.
@@ -316,22 +320,22 @@ mod tests {
 
     #[test]
     fn hits_prevent_auto_disable() {
-        let cache = BlockCache::new(4, 5);
+        let cache = BlockCache::new(4);
         let a = block(7, 4);
         cache.lookup(1, &a, None);
         cache.insert(1, &a, None, &a, None);
         for _ in 0..100 {
             assert!(cache.lookup(1, &a, None).is_some());
         }
-        for i in 0..20u8 {
-            cache.lookup(50 + i as u64, &block(i, 4), None);
+        for i in 0..AUTO_DISABLE_AFTER + 20 {
+            cache.lookup(50 + i, &block(i as u8, 4), None);
         }
         assert!(!cache.is_disabled());
     }
 
     #[test]
     fn zero_capacity_is_disabled() {
-        let cache = BlockCache::new(0, 10);
+        let cache = BlockCache::new(0);
         assert!(cache.is_disabled());
         let a = block(1, 4);
         cache.insert(1, &a, None, &a, None);
@@ -343,7 +347,7 @@ mod tests {
         // Two different payloads that we force into the same key by using
         // the same op signature; lookup must not return the wrong line even
         // if hashes collided (we simulate by checking exact-compare path).
-        let cache = BlockCache::new(4, 1000);
+        let cache = BlockCache::new(4);
         let a = block(1, 16);
         cache.insert(5, &a, None, &block(9, 3), None);
         let near = block(1, 15); // different payload

@@ -1,47 +1,34 @@
 //! Simulator configuration (paper §3, §5.1).
 
-use crate::store::Eviction;
 use qcs_compress::{CodecId, ErrorBound};
 use std::path::PathBuf;
 
 /// Out-of-core tier configuration: how many hot compressed blocks each
-/// rank keeps resident, which eviction policy picks victims, how
-/// eviction writes reach disk, and where the cold ones spill.
+/// rank keeps resident, how eviction writes reach disk, and where the
+/// cold ones spill.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
-    /// Residency budget per rank, in blocks (minimum 1): the hottest
-    /// `resident_blocks` compressed blocks stay in memory (victims chosen
-    /// by `eviction`); the rest live in the rank's segment file(s).
+    /// Residency budget per rank, in blocks (minimum 1): the
+    /// `resident_blocks` most recently touched compressed blocks stay in
+    /// memory; the rest live in the rank's segment file.
     pub resident_blocks: usize,
     /// Directory for the per-rank segment files; `None` uses the system
     /// temp directory. Files are deleted when the simulator is dropped.
     pub dir: Option<PathBuf>,
-    /// Victim-selection policy for the residency budget: classic
-    /// [`Eviction::Lru`] (the default) or plan-driven
-    /// [`Eviction::PlannedMin`] (Belady's MIN over the schedule's
-    /// `AccessPlan`).
-    pub eviction: Eviction,
     /// Drain eviction writes on a per-rank background writer thread
     /// (bounded dirty buffer, coalesced appends, flush/drop barriers)
     /// instead of appending synchronously on the critical path.
     pub write_behind: bool,
-    /// Segment shards per rank (minimum 1): with `> 1`, each rank keeps
-    /// one segment file in each of `shards` directories and rotates
-    /// eviction runs across them in eviction order.
-    pub shards: usize,
 }
 
 impl SpillConfig {
     /// Spill config with the given per-rank residency budget, segments in
-    /// the system temp directory, LRU eviction, synchronous writes, one
-    /// shard.
+    /// the system temp directory, synchronous writes.
     pub fn new(resident_blocks: usize) -> Self {
         Self {
             resident_blocks,
             dir: None,
-            eviction: Eviction::default(),
             write_behind: false,
-            shards: 1,
         }
     }
 
@@ -120,21 +107,9 @@ pub struct SimConfig {
     /// `[lossless, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]`.
     pub ladder: Vec<ErrorBound>,
     /// Compressed-block cache lines per simulation (§3.4; the paper uses
-    /// 64). 0 disables the cache entirely.
+    /// 64), at most [`SimConfig::MAX_CACHE_LINES`]. 0 disables the cache
+    /// entirely.
     pub cache_lines: usize,
-    /// Auto-disable the cache after this many consecutive lookups with no
-    /// hit (§3.4: "our simulator will disable the compressed block cache if
-    /// the cache hit rate is always zero").
-    pub cache_auto_disable_after: u64,
-    /// When the ladder escalates, immediately recompress every block at the
-    /// new bound so the budget is actually restored (rather than only
-    /// applying the new bound to future compressions).
-    pub recompress_on_escalate: bool,
-    /// Optional modeled interconnect bandwidth in bytes/second. When set,
-    /// each rank-pair exchange adds `bytes / bandwidth` of *modeled* time to
-    /// the communication phase on top of the measured copy time, standing
-    /// in for the Aries network the paper measures.
-    pub modeled_link_bandwidth: Option<f64>,
     /// Run circuits through the batch scheduler: fuse consecutive
     /// single-qubit gates on the same qubit and group consecutive
     /// intra-block gates into batches, so each block pays one
@@ -147,18 +122,14 @@ pub struct SimConfig {
     pub max_batch_gates: usize,
     /// Out-of-core tier: when set, each rank keeps only
     /// `spill.resident_blocks` hot compressed blocks in memory and spills
-    /// the rest to a per-rank segment file of checksummed frames. `None`
-    /// (the default) keeps every block resident, as in the paper.
+    /// the rest to a per-rank segment file of checksummed frames. Waves
+    /// are then driven by the schedule's `AccessPlan`: each rank's store
+    /// runs a background fetch thread, and the next chunk of spilled
+    /// blocks streams off disk while the current chunk computes — staged
+    /// in a buffer bounded by the residency budget (double-buffering: one
+    /// budget resident, at most one more staged). `None` (the default)
+    /// keeps every block resident, as in the paper.
     pub spill: Option<SpillConfig>,
-    /// Overlap spill-tier reads with compute (the default; only
-    /// meaningful with `spill` set). Each rank's store runs a background
-    /// fetch thread, waves are driven by the schedule's `AccessPlan`, and
-    /// the next chunk of spilled blocks streams off disk while the
-    /// current chunk computes — staged in a buffer bounded by the
-    /// residency budget (double-buffering: one budget resident, at most
-    /// one more staged). Disable to reproduce the pull-on-demand tier
-    /// where every cold block is a blocking seek-and-read.
-    pub prefetch: bool,
     /// Route qualifying waves through the segment-addressable partial
     /// decode/encode path (on by default). Diagonal and controlled gates,
     /// measurement collapse, and probability queries whose
@@ -185,13 +156,9 @@ impl Default for SimConfig {
             lossy_codec: CodecId::SolutionC,
             ladder: qcs_compress::ladder().to_vec(),
             cache_lines: 64,
-            cache_auto_disable_after: 512,
-            recompress_on_escalate: true,
-            modeled_link_bandwidth: None,
             fusion: true,
             max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,
             spill: None,
-            prefetch: true,
             partial_decode: true,
             remote: None,
         }
@@ -206,6 +173,12 @@ impl SimConfig {
     /// footprint computation inside u64 range, so hostile wire configs
     /// cannot panic admission arithmetic.
     pub const MAX_QUBITS: u32 = 62;
+
+    /// Largest [`SimConfig::cache_lines`] [`SimConfig::validate`] accepts
+    /// (the paper uses 64). Bounding it keeps the cache's up-front table
+    /// allocation finite, so a hostile wire config cannot panic the
+    /// simulator's construction.
+    pub const MAX_CACHE_LINES: usize = 1 << 16;
 
     /// Config with a given block size exponent.
     pub fn with_block_log2(mut self, block_log2: u32) -> Self {
@@ -270,8 +243,8 @@ impl SimConfig {
     }
 
     /// Config with the out-of-core tier enabled: at most `resident_blocks`
-    /// hot compressed blocks per rank stay in memory, the rest spill to
-    /// per-rank segment files in the system temp directory.
+    /// hot compressed blocks per rank stay in memory, the rest spill to a
+    /// per-rank segment file in the system temp directory.
     pub fn with_spill(mut self, resident_blocks: usize) -> Self {
         self.spill = Some(SpillConfig::new(resident_blocks));
         self
@@ -287,38 +260,12 @@ impl SimConfig {
         self
     }
 
-    /// Config with the out-of-core prefetch pipeline explicitly on or off
-    /// (on by default; only meaningful together with a spill budget).
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Config with the given spill eviction policy (enables spilling with
-    /// a 1-block budget if it was off; keeps a previously set budget).
-    pub fn with_eviction(mut self, eviction: Eviction) -> Self {
-        let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
-        spill.eviction = eviction;
-        self.spill = Some(spill);
-        self
-    }
-
     /// Config with spill write-behind explicitly on or off (enables
     /// spilling with a 1-block budget if it was off; keeps a previously
     /// set budget).
     pub fn with_write_behind(mut self, write_behind: bool) -> Self {
         let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
         spill.write_behind = write_behind;
-        self.spill = Some(spill);
-        self
-    }
-
-    /// Config with the given per-rank segment shard count (enables
-    /// spilling with a 1-block budget if it was off; keeps a previously
-    /// set budget; validated to be at least 1).
-    pub fn with_spill_shards(mut self, shards: usize) -> Self {
-        let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
-        spill.shards = shards;
         self.spill = Some(spill);
         self
     }
@@ -381,12 +328,16 @@ impl SimConfig {
                 qcs_circuits::schedule::MAX_BATCH_GATES
             ));
         }
+        if self.cache_lines > Self::MAX_CACHE_LINES {
+            return Err(format!(
+                "cache_lines {} exceeds the supported maximum of {}",
+                self.cache_lines,
+                Self::MAX_CACHE_LINES
+            ));
+        }
         if let Some(spill) = &self.spill {
             if spill.resident_blocks == 0 {
                 return Err("spill residency budget must be at least 1 block".into());
-            }
-            if spill.shards == 0 {
-                return Err("spill shard count must be at least 1".into());
             }
         }
         if let Some(remote) = &self.remote {
@@ -460,6 +411,22 @@ mod tests {
     }
 
     #[test]
+    fn validation_bounds_cache_lines() {
+        let mut c = SimConfig::default();
+        for ok in [0, 1, SimConfig::MAX_CACHE_LINES] {
+            c.cache_lines = ok;
+            assert!(c.validate(16).is_ok(), "cache_lines {ok} is in range");
+        }
+        // One past the cap, and the wire value that used to reach
+        // `HashMap::with_capacity` and panic.
+        for bad in [SimConfig::MAX_CACHE_LINES + 1, 1 << 62, usize::MAX] {
+            c.cache_lines = bad;
+            let err = c.validate(16).unwrap_err();
+            assert!(err.contains("cache_lines"), "{err}");
+        }
+    }
+
+    #[test]
     fn spill_builders_and_validation() {
         let c = SimConfig::default().with_block_log2(3).with_spill(4);
         assert_eq!(c.spill.as_ref().unwrap().resident_blocks, 4);
@@ -471,48 +438,23 @@ mod tests {
         // A zero-block budget is rejected.
         let bad = SimConfig::default().with_spill(0);
         assert!(bad.validate(9).is_err());
-        // Default stays all-resident, with the prefetch pipeline armed
-        // for whenever a spill budget appears.
+        // Default stays all-resident; a spill config defaults to
+        // synchronous writes in the system temp directory.
         assert!(SimConfig::default().spill.is_none());
-        assert!(SimConfig::default().prefetch);
-        assert!(!SimConfig::default().with_prefetch(false).prefetch);
         assert_eq!(SpillConfig::new(2).directory(), std::env::temp_dir());
-        // New-knob defaults keep pre-policy behavior: LRU, synchronous
-        // writes, single-segment layout.
-        let spill = SpillConfig::new(2);
-        assert_eq!(spill.eviction, Eviction::Lru);
-        assert!(!spill.write_behind);
-        assert_eq!(spill.shards, 1);
+        assert!(!SpillConfig::new(2).write_behind);
     }
 
     #[test]
-    fn eviction_and_write_behind_builders() {
-        let c = SimConfig::default()
-            .with_spill(4)
-            .with_eviction(Eviction::PlannedMin)
-            .with_write_behind(true)
-            .with_spill_shards(3);
+    fn write_behind_builder() {
+        let c = SimConfig::default().with_spill(4).with_write_behind(true);
         let spill = c.spill.as_ref().unwrap();
-        assert_eq!(spill.resident_blocks, 4, "builders keep the budget");
-        assert_eq!(spill.eviction, Eviction::PlannedMin);
+        assert_eq!(spill.resident_blocks, 4, "builder keeps the budget");
         assert!(spill.write_behind);
-        assert_eq!(spill.shards, 3);
         assert!(c.validate(9).is_err(), "block_log2 still default");
-        let c = c.with_block_log2(3);
-        assert!(c.validate(9).is_ok());
-        // Zero shards are rejected.
-        let bad = SimConfig::default()
-            .with_block_log2(3)
-            .with_spill(4)
-            .with_spill_shards(0);
-        assert!(bad.validate(9).is_err());
-        // Each builder arms the spill tier if it was off.
-        assert!(SimConfig::default()
-            .with_eviction(Eviction::PlannedMin)
-            .spill
-            .is_some());
+        assert!(c.with_block_log2(3).validate(9).is_ok());
+        // The builder arms the spill tier if it was off.
         assert!(SimConfig::default().with_write_behind(true).spill.is_some());
-        assert!(SimConfig::default().with_spill_shards(2).spill.is_some());
     }
 
     #[test]

@@ -61,7 +61,7 @@ use qcs_circuits::{
     schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
 };
 use qcs_cluster::exec::{duplex, ClusterSim, Worker as _};
-use qcs_cluster::{ControlScope, Layout, Metrics, Phase, Route, TimeBreakdown};
+use qcs_cluster::{ControlScope, Layout, Metrics, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
 use qcs_statevec::{Complex64, Gate1, StateVector};
 use std::sync::Arc;
@@ -212,11 +212,10 @@ pub struct SimReport {
     /// nanoseconds.
     pub spill_io_ns: u64,
     /// Spilled fetches served from the prefetch staging buffer — the
-    /// background read overlapped with compute (0 with prefetch off or
-    /// without an out-of-core store).
+    /// background read overlapped with compute (0 without an out-of-core
+    /// store).
     pub prefetch_hits: u64,
-    /// Spilled fetches that blocked on a critical-path disk read (with
-    /// prefetch off, every spilled fetch is a miss).
+    /// Spilled fetches that blocked on a critical-path disk read.
     pub prefetch_misses: u64,
     /// Spill-tier bytes read on the critical path (blocking fetches).
     pub blocking_fetch_bytes: u64,
@@ -435,10 +434,7 @@ impl CompressedSimulator {
         let ranks = layout.ranks();
         let bpr = layout.blocks_per_rank();
         debug_assert_eq!(blocks.len(), ranks * bpr);
-        let cache = Arc::new(BlockCache::new(
-            cfg.cache_lines,
-            cfg.cache_auto_disable_after,
-        ));
+        let cache = Arc::new(BlockCache::new(cfg.cache_lines));
         let metrics = Metrics::new();
         // Warm the codec's scratch pool so even the first waves run
         // allocation-free (prewarm is deliberately uncounted).
@@ -510,11 +506,8 @@ impl CompressedSimulator {
                     metrics.clone(),
                     local,
                     SpillOptions {
-                        prefetch: cfg.prefetch,
                         dir_guard: Some(Arc::clone(guard)),
-                        eviction: spill.eviction,
                         write_behind: spill.write_behind,
-                        shards: spill.shards,
                     },
                 )?),
                 _ => Box::new(MemStore::new(local)),
@@ -706,11 +699,11 @@ impl CompressedSimulator {
 
     /// Per-rank lookahead payloads for the next planned wave: rank `r`
     /// gets the first slots `next.per_rank[r]` will touch, truncated to
-    /// the staging budget. All `None` when the run is not prefetching.
+    /// the staging budget. All `None` when the run does not spill.
     fn lookahead_for(&self, next: Option<&WaveAccess>) -> Vec<Lookahead> {
         let ranks = self.layout.ranks();
         match (next, &self.cfg.spill) {
-            (Some(wave), Some(spill)) if self.cfg.prefetch => {
+            (Some(wave), Some(spill)) => {
                 let cap = spill.resident_blocks.max(1);
                 (0..ranks)
                     .map(|r| {
@@ -789,22 +782,12 @@ impl CompressedSimulator {
         }
     }
 
-    /// Fold a finished gate/batch wave into the ledger and the modeled
-    /// link time (one ledger entry per wave, as a batched recompression is
-    /// a single lossy event).
+    /// Fold a finished gate/batch wave into the ledger (one entry per
+    /// wave, as a batched recompression is a single lossy event).
     fn finish_wave(&mut self, waves: &[WaveOut], bound: ErrorBound) {
         let any_lossy = waves.iter().any(|w| w.lossy);
         self.ledger
             .record_gate(if any_lossy { bound.magnitude() } else { 0.0 });
-        let comm_bytes: u64 = waves.iter().map(|w| w.comm_bytes).sum();
-        if comm_bytes > 0 {
-            if let Some(bw) = self.cfg.modeled_link_bandwidth {
-                self.metrics.add(
-                    Phase::Communication,
-                    Duration::from_secs_f64(comm_bytes as f64 / bw),
-                );
-            }
-        }
     }
 
     // --- circuit execution ------------------------------------------------
@@ -833,8 +816,8 @@ impl CompressedSimulator {
     /// geometry: a batch whose target does not route intra-block is a
     /// configuration error.
     ///
-    /// On an out-of-core run with [`SimConfig::prefetch`] on, each wave
-    /// is dispatched with the *next* scheduled item's first planned wave
+    /// On an out-of-core run ([`SimConfig::spill`] set), each wave is
+    /// dispatched with the *next* scheduled item's first planned wave
     /// as its prefetch lookahead — an [`AccessPlan::for_item`] lookup,
     /// computed lazily so planning memory stays proportional to one item
     /// rather than the whole schedule. Spill-tier reads therefore stream
@@ -875,7 +858,7 @@ impl CompressedSimulator {
         observer: &mut impl FnMut(WaveStatus) -> WaveControl,
     ) -> Result<RunOutcome, SimError> {
         assert_eq!(schedule.num_qubits() as u32, self.layout.num_qubits);
-        let planning = self.cfg.prefetch && self.cfg.spill.is_some();
+        let planning = self.cfg.spill.is_some();
         let items = schedule.items();
         assert!(
             start_item <= items.len(),
@@ -987,9 +970,9 @@ impl CompressedSimulator {
             while self.hot_memory_bytes() > budget && self.level + 1 < self.cfg.ladder.len() {
                 self.level += 1;
                 self.escalations += 1;
-                if self.cfg.recompress_on_escalate {
-                    self.recompress_all()?;
-                }
+                // Recompress every block at the new bound so the budget
+                // is actually restored, not only for future compressions.
+                self.recompress_all()?;
             }
         }
         self.note_memory();

@@ -16,17 +16,14 @@
 //! - [`SimConfig`] — block/rank geometry, memory budget, error-bound
 //!   ladder (§3.7), cache size (§3.4), out-of-core residency budget;
 //! - [`store`] — the block storage tiers behind the workers: [`MemStore`]
-//!   (all-resident, the paper's regime) and [`SpillStore`] (hot blocks
-//!   under a residency budget, cold blocks in per-rank segment files of
-//!   checksummed frames, optionally sharded), so the simulable size is
+//!   (all-resident, the paper's regime) and [`SpillStore`] (the least
+//!   recently touched blocks beyond a residency budget live in a per-rank
+//!   segment file of checksummed frames), so the simulable size is
 //!   bounded by disk rather than RAM. Out-of-core runs are *planned*: the
 //!   schedule's `AccessPlan` fixes every wave's block order ahead of time,
-//!   each store's background fetcher streams the next chunk off disk
-//!   while the current one computes ([`SimConfig::prefetch`]), a
-//!   write-behind thread drains eviction writes off the critical path
-//!   (`SpillConfig::write_behind`), and the same plan drives victim
-//!   selection: [`Eviction::PlannedMin`] implements Belady's MIN exactly
-//!   because the future access trace is known ([`EvictionPolicy`]);
+//!   and each store's background fetcher streams the next chunk off disk
+//!   while the current one computes; with `SpillConfig::write_behind` a
+//!   writer thread also drains eviction writes off the critical path;
 //! - [`BlockCache`] — the 64-line LRU compressed-block cache with
 //!   auto-disable (§3.4, Fig. 4);
 //! - [`FidelityLedger`] — the `prod (1 - delta_i)` fidelity lower bound
@@ -112,7 +109,4 @@ pub use engine::{CompressedSimulator, RunOutcome, SimError, SimReport, WaveContr
 pub use fidelity_bound::{fidelity_curve, FidelityLedger};
 pub use net::{serve, spawn_loopback, ServeOptions};
 pub use serial::{put_sim_config, put_sim_report, take_sim_config, take_sim_report};
-pub use store::{
-    BlockStore, Eviction, EvictionPolicy, Lru, MemStore, PlannedMin, SegmentDirGuard, SpillOptions,
-    SpillStore,
-};
+pub use store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};

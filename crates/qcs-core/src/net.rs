@@ -17,8 +17,8 @@
 //! ```text
 //!  coordinator (ClusterSim thread)           qcsim-workerd daemon
 //!  ──────────────────────────────            ────────────────────
-//!  Hello  {version, rank, layout,     ─▶     validate; build the rank's
-//!          config subset, block table}        RankWorker (own metrics,
+//!  Hello  {version, rank, qubits,     ─▶     validate; build the rank's
+//!          SimConfig, block table}            RankWorker (own metrics,
 //!                                   ◀─ HelloAck cache, store/spill dir)
 //!  Cmd    {serialized WorkerCmd}      ─▶     worker.handle(cmd)
 //!          ... Relay frames both ways
@@ -55,8 +55,9 @@
 
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
-use crate::config::{RemoteConfig, SimConfig, SpillConfig};
+use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
+use crate::serial::{put_sim_config, take_sim_config};
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
 use crate::worker::{
     BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
@@ -67,7 +68,7 @@ use qcs_cluster::{
     duplex, ControlScope, Duplex, DuplexRx, DuplexTx, Layout, Metrics, Route, TimeBreakdown,
 };
 use qcs_compress::frame as cframe;
-use qcs_compress::{CodecId, ErrorBound};
+use qcs_compress::ErrorBound;
 use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
 use qcs_net::{recv_frame, send_frame, Cursor, NetError, PROTOCOL_VERSION};
 use qcs_statevec::{Complex64, Gate1};
@@ -544,7 +545,6 @@ fn put_worker_out(buf: &mut Vec<u8>, out: &WorkerOut) {
         WorkerOut::Wave(w) => {
             put_u8(buf, OUT_WAVE);
             put_u8(buf, w.lossy as u8);
-            put_u64(buf, w.comm_bytes);
             put_u64(buf, w.compressed_bytes);
             put_u64(buf, w.resident_bytes);
             put_u64(buf, w.hot_bytes);
@@ -578,7 +578,6 @@ fn take_worker_out(cur: &mut Cursor) -> Result<WorkerOut, NetError> {
     match cur.take_u8()? {
         OUT_WAVE => Ok(WorkerOut::Wave(WaveOut {
             lossy: cur.take_u8()? != 0,
-            comm_bytes: cur.take_u64()?,
             compressed_bytes: cur.take_u64()?,
             resident_bytes: cur.take_u64()?,
             hot_bytes: cur.take_u64()?,
@@ -652,65 +651,44 @@ fn decode_relay(body: &[u8]) -> Result<BlockMsg, NetError> {
 
 // --- handshake -----------------------------------------------------------
 
-pub(crate) const EVICTION_LRU: u8 = 0;
-pub(crate) const EVICTION_PLANNED_MIN: u8 = 1;
-
 /// Everything the daemon needs to stand up one rank's worker: the rank's
-/// identity and geometry, the worker-relevant subset of [`SimConfig`],
-/// and the rank's initial compressed block table.
+/// identity, the register size, the simulation's [`SimConfig`] (whose
+/// geometry fixes the rank's layout), and the rank's initial compressed
+/// block table.
 struct Hello {
     rank: usize,
-    layout: Layout,
-    lossy_codec: CodecId,
-    threads_per_rank: Option<usize>,
-    cache_lines: usize,
-    cache_auto_disable_after: u64,
-    prefetch: bool,
-    partial_decode: bool,
-    spill: Option<SpillConfig>,
+    num_qubits: u32,
+    cfg: SimConfig,
     blocks: Vec<Option<CompressedBlock>>,
 }
 
+impl Hello {
+    /// The rank's block layout.
+    fn layout(&self) -> Layout {
+        Layout::new(self.num_qubits, self.cfg.ranks_log2, self.cfg.block_log2)
+    }
+}
+
+/// Encode the handshake. The config travels through the one
+/// [`put_sim_config`] codec with `spill.dir` and `remote` cleared: the
+/// daemon chooses its own spill directory, and a rank has no remote
+/// endpoints of its own.
 fn encode_hello(
     rank: usize,
     cfg: &SimConfig,
-    layout: Layout,
+    num_qubits: u32,
     blocks: &[Option<CompressedBlock>],
 ) -> Vec<u8> {
+    let mut cfg = cfg.clone();
+    if let Some(spill) = &mut cfg.spill {
+        spill.dir = None;
+    }
+    cfg.remote = None;
     let mut buf = Vec::new();
     put_u32(&mut buf, PROTOCOL_VERSION);
     put_u32(&mut buf, rank as u32);
-    put_u32(&mut buf, layout.num_qubits);
-    put_u32(&mut buf, layout.ranks_log2);
-    put_u32(&mut buf, layout.block_log2);
-    put_u8(&mut buf, cfg.lossy_codec as u8);
-    match cfg.threads_per_rank {
-        Some(t) => {
-            put_u8(&mut buf, 1);
-            put_u32(&mut buf, t as u32);
-        }
-        None => put_u8(&mut buf, 0),
-    }
-    put_u64(&mut buf, cfg.cache_lines as u64);
-    put_u64(&mut buf, cfg.cache_auto_disable_after);
-    put_u8(&mut buf, cfg.prefetch as u8);
-    put_u8(&mut buf, cfg.partial_decode as u8);
-    match &cfg.spill {
-        Some(spill) => {
-            put_u8(&mut buf, 1);
-            put_u64(&mut buf, spill.resident_blocks as u64);
-            put_u8(
-                &mut buf,
-                match spill.eviction {
-                    crate::store::Eviction::Lru => EVICTION_LRU,
-                    crate::store::Eviction::PlannedMin => EVICTION_PLANNED_MIN,
-                },
-            );
-            put_u8(&mut buf, spill.write_behind as u8);
-            put_u64(&mut buf, spill.shards as u64);
-        }
-        None => put_u8(&mut buf, 0),
-    }
+    put_u32(&mut buf, num_qubits);
+    put_sim_config(&mut buf, &cfg).expect("a config without a spill dir always encodes");
     put_u32(&mut buf, blocks.len() as u32);
     for block in blocks {
         match block {
@@ -724,6 +702,9 @@ fn encode_hello(
     buf
 }
 
+/// Decode a handshake and validate its config against its register
+/// size, so a hostile handshake is refused before any worker state is
+/// built from it.
 fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
     let mut cur = Cursor::new(body);
     let version = cur.take_u32()?;
@@ -733,39 +714,10 @@ fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
         )));
     }
     let rank = cur.take_u32()? as usize;
-    let layout = Layout::new(cur.take_u32()?, cur.take_u32()?, cur.take_u32()?);
-    let lossy_codec = {
-        let id = cur.take_u8()?;
-        CodecId::from_u8(id).ok_or_else(|| NetError::Corrupt(format!("unknown codec id {id}")))?
-    };
-    let threads_per_rank = if cur.take_u8()? != 0 {
-        Some(cur.take_u32()? as usize)
-    } else {
-        None
-    };
-    let cache_lines = cur.take_u64()? as usize;
-    let cache_auto_disable_after = cur.take_u64()?;
-    let prefetch = cur.take_u8()? != 0;
-    let partial_decode = cur.take_u8()? != 0;
-    let spill = if cur.take_u8()? != 0 {
-        let resident_blocks = cur.take_u64()? as usize;
-        let eviction = match cur.take_u8()? {
-            EVICTION_LRU => crate::store::Eviction::Lru,
-            EVICTION_PLANNED_MIN => crate::store::Eviction::PlannedMin,
-            t => return Err(NetError::Corrupt(format!("unknown eviction tag {t}"))),
-        };
-        let write_behind = cur.take_u8()? != 0;
-        let shards = cur.take_u64()? as usize;
-        Some(SpillConfig {
-            resident_blocks,
-            dir: None, // the daemon chooses where its own segments live
-            eviction,
-            write_behind,
-            shards,
-        })
-    } else {
-        None
-    };
+    let num_qubits = cur.take_u32()?;
+    let cfg = take_sim_config(&mut cur)?;
+    cfg.validate(num_qubits)
+        .map_err(|e| NetError::Protocol(format!("invalid config: {e}")))?;
     let n = cur.take_count(1)?;
     let mut blocks = Vec::with_capacity(n);
     for _ in 0..n {
@@ -778,14 +730,8 @@ fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
     cur.finish()?;
     Ok(Hello {
         rank,
-        layout,
-        lossy_codec,
-        threads_per_rank,
-        cache_lines,
-        cache_auto_disable_after,
-        prefetch,
-        partial_decode,
-        spill,
+        num_qubits,
+        cfg,
         blocks,
     })
 }
@@ -845,7 +791,7 @@ impl RemoteWorkerClient {
             writer: stream,
             metrics,
         };
-        let hello = encode_hello(rank, cfg, layout, blocks);
+        let hello = encode_hello(rank, cfg, layout.num_qubits, blocks);
         write_frame_to(&mut client.writer, K_HELLO, &hello)
             .map_err(|e| transport_err(rank, "send handshake", e))?;
         let (kind, body) = recv_frame(&mut client.reader)
@@ -1057,30 +1003,29 @@ fn build_worker(
     opts: &ServeOptions,
     metrics: Metrics,
 ) -> Result<RankWorker, String> {
-    if hello.blocks.len() != hello.layout.blocks_per_rank() {
+    let layout = hello.layout();
+    if hello.blocks.len() != layout.blocks_per_rank() {
         return Err(format!(
             "handshake shipped {} blocks, layout needs {}",
             hello.blocks.len(),
-            hello.layout.blocks_per_rank()
+            layout.blocks_per_rank()
         ));
     }
-    if hello.rank >= hello.layout.ranks() {
+    if hello.rank >= layout.ranks() {
         return Err(format!(
             "rank {} out of range for a {}-rank layout",
             hello.rank,
-            hello.layout.ranks()
+            layout.ranks()
         ));
     }
-    let codec = Arc::new(BlockCodec::new(hello.lossy_codec));
+    let cfg = &hello.cfg;
+    let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
     codec.prewarm(
-        hello.layout.block_amps() * 2,
+        layout.block_amps() * 2,
         (4 * rayon::current_num_threads() + 4).min(32),
     );
-    let cache = Arc::new(BlockCache::new(
-        hello.cache_lines,
-        hello.cache_auto_disable_after,
-    ));
-    let store: Box<dyn BlockStore> = match &hello.spill {
+    let cache = Arc::new(BlockCache::new(cfg.cache_lines));
+    let store: Box<dyn BlockStore> = match &cfg.spill {
         Some(spill) => {
             let dir = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             let guard = SegmentDirGuard::create(&dir).map_err(|e| format!("spill dir: {e}"))?;
@@ -1092,11 +1037,8 @@ fn build_worker(
                     metrics.clone(),
                     hello.blocks.clone(),
                     SpillOptions {
-                        prefetch: hello.prefetch,
                         dir_guard: Some(Arc::clone(&guard)),
-                        eviction: spill.eviction,
                         write_behind: spill.write_behind,
-                        shards: spill.shards,
                     },
                 )
                 .map_err(|e| format!("spill store: {e}"))?,
@@ -1106,12 +1048,12 @@ fn build_worker(
     };
     Ok(RankWorker::new(
         hello.rank,
-        hello.layout,
+        layout,
         codec,
         cache,
         metrics,
         store,
-        hello.partial_decode,
+        cfg.partial_decode,
     ))
 }
 
@@ -1168,6 +1110,7 @@ fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<(), NetError> {
         .and_then(|h| {
             let worker = build_worker(&h, opts, metrics.clone())?;
             let pool = h
+                .cfg
                 .threads_per_rank
                 .map(|t| {
                     rayon::ThreadPoolBuilder::new()
@@ -1323,7 +1266,6 @@ mod tests {
         };
         let ok: Result<WorkerOut, SimError> = Ok(WorkerOut::Wave(WaveOut {
             lossy: true,
-            comm_bytes: 99,
             compressed_bytes: 1000,
             resident_bytes: 800,
             hot_bytes: 700,
@@ -1334,7 +1276,6 @@ mod tests {
         match r.unwrap() {
             WorkerOut::Wave(w) => {
                 assert!(w.lossy);
-                assert_eq!(w.comm_bytes, 99);
                 assert_eq!(w.hot_bytes, 700);
             }
             _ => panic!("wrong response decoded"),
@@ -1346,29 +1287,37 @@ mod tests {
 
     #[test]
     fn hello_round_trips_config_and_blocks() {
+        use std::os::unix::ffi::OsStrExt;
+        // A coordinator-side spill dir need not be UTF-8 (the config codec
+        // refuses such paths) and `remote` is set on every coordinator
+        // that dials daemons: the handshake clears both and still encodes.
+        let dir = std::ffi::OsStr::from_bytes(b"/tmp/qcs-\xff-spill");
         let cfg = SimConfig::default()
             .with_block_log2(3)
             .with_ranks_log2(1)
             .with_threads_per_rank(2)
             .with_spill(2)
+            .with_spill_dir(PathBuf::from(dir))
             .with_write_behind(true)
-            .with_spill_shards(3)
-            .with_partial_decode(false);
-        let layout = Layout::new(6, 1, 3);
+            .with_partial_decode(false)
+            .with_remote(vec!["127.0.0.1:7401"]);
         let blocks = vec![Some(zero_block()), None, Some(zero_block()), None];
-        let body = encode_hello(1, &cfg, layout, &blocks);
+        let body = encode_hello(1, &cfg, 6, &blocks);
         let hello = decode_hello(&body).unwrap();
         assert_eq!(hello.rank, 1);
-        assert_eq!(hello.layout, layout);
-        assert_eq!(hello.threads_per_rank, Some(2));
-        assert_eq!(hello.cache_lines, 64);
-        assert!(hello.prefetch);
-        assert!(!hello.partial_decode, "partial-decode flag round-trips");
-        let spill = hello.spill.expect("spill config shipped");
+        assert_eq!(hello.layout(), Layout::new(6, 1, 3));
+        assert_eq!(hello.cfg.threads_per_rank, Some(2));
+        assert_eq!(hello.cfg.cache_lines, 64);
+        assert!(!hello.cfg.partial_decode, "partial-decode flag round-trips");
+        let spill = hello.cfg.spill.as_ref().expect("spill config shipped");
         assert_eq!(spill.resident_blocks, 2);
         assert!(spill.write_behind);
-        assert_eq!(spill.shards, 3);
         assert!(spill.dir.is_none(), "daemon picks its own directory");
+        assert!(hello.cfg.remote.is_none(), "a rank dials no daemons");
+        let mut sent = cfg.clone();
+        sent.spill.as_mut().unwrap().dir = None;
+        sent.remote = None;
+        assert_eq!(hello.cfg, sent, "every other field round-trips");
         assert_eq!(hello.blocks.len(), 4);
         assert!(hello.blocks[0].is_some() && hello.blocks[1].is_none());
     }
@@ -1376,14 +1325,51 @@ mod tests {
     #[test]
     fn version_mismatch_is_a_protocol_error() {
         let cfg = SimConfig::default().with_block_log2(3);
-        let layout = Layout::new(4, 0, 3);
-        let mut body = encode_hello(0, &cfg, layout, &[]);
+        let mut body = encode_hello(0, &cfg, 4, &[]);
         body[0] = PROTOCOL_VERSION as u8 + 1;
         assert!(matches!(decode_hello(&body), Err(NetError::Protocol(_))));
     }
 
+    #[test]
+    fn hostile_hello_config_is_refused() {
+        // A config that does not fit the announced register is refused
+        // on decode, like any other invalid one.
+        let cfg = SimConfig::default().with_block_log2(3);
+        let body = encode_hello(0, &cfg, 3, &[]);
+        assert!(matches!(decode_hello(&body), Err(NetError::Protocol(_))));
+
+        // A cache this large would panic the daemon's handler while it
+        // builds the worker; validation refuses it first and the
+        // coordinator sees a typed handshake rejection.
+        let mut hostile = cfg;
+        hostile.cache_lines = 1 << 62;
+        let body = encode_hello(0, &hostile, 6, &[]);
+        assert!(matches!(decode_hello(&body), Err(NetError::Protocol(_))));
+        let (addr, daemon) = spawn_loopback(1, ServeOptions::default()).unwrap();
+        let layout = Layout::new(6, 0, 3);
+        let blocks = vec![Some(zero_block()); layout.blocks_per_rank()];
+        let err = RemoteWorkerClient::connect(
+            &RemoteConfig::new(vec![addr]),
+            &hostile,
+            layout,
+            0,
+            &blocks,
+            Metrics::new(),
+        )
+        .err()
+        .expect("hostile config must be refused");
+        let msg = err.to_string();
+        assert!(
+            matches!(err, SimError::Transport(_)) && msg.contains("cache_lines"),
+            "typed handshake rejection naming the field: {msg}"
+        );
+        daemon
+            .join()
+            .expect("daemon exits after its one connection");
+    }
+
     fn zero_block() -> CompressedBlock {
-        let codec = BlockCodec::new(CodecId::SolutionC);
+        let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
         codec.compress(&[0.0; 16], ErrorBound::Lossless).unwrap()
     }
 }

@@ -83,8 +83,7 @@ fn access_plan_is_exact_through_the_spill_tier_too() {
     let cfg = SimConfig::default()
         .with_block_log2(3)
         .with_ranks_log2(1)
-        .with_spill(2)
-        .with_prefetch(false); // hints are advisory; keep the trace strict
+        .with_spill(2);
     let schedule = schedule_circuit(&circuit, &cfg.fusion_policy());
     let plan = AccessPlan::for_schedule(&schedule, 1, 3);
     let log = trace::access_log(2);

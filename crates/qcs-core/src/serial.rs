@@ -1,7 +1,8 @@
 //! Public wire codecs for [`SimConfig`] and [`SimReport`] — the
 //! serialization seam the job server (`qcs-server`) submits configs and
-//! streams reports through (ROADMAP item 2's "refactor
-//! `SimConfig`/`SimReport` to be serializable" first step).
+//! streams reports through, and the one definition of the config's wire
+//! layout (the worker handshake in [`crate::net`] ships its config
+//! through [`put_sim_config`] too).
 //!
 //! The encoding is the same [`qcs_net::wire`] put/take vocabulary the
 //! worker protocol uses: little-endian fixed-width scalars, 0/1 presence
@@ -11,11 +12,7 @@
 
 use crate::config::{RemoteConfig, SimConfig, SpillConfig};
 use crate::engine::SimReport;
-use crate::net::{
-    put_bound, put_breakdown, put_duration, take_bound, take_breakdown, EVICTION_LRU,
-    EVICTION_PLANNED_MIN,
-};
-use crate::store::Eviction;
+use crate::net::{put_bound, put_breakdown, put_duration, take_bound, take_breakdown};
 use qcs_compress::CodecId;
 use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
 use qcs_net::{Cursor, NetError};
@@ -55,15 +52,6 @@ pub fn put_sim_config(buf: &mut Vec<u8>, cfg: &SimConfig) -> Result<(), NetError
         put_bound(buf, *bound);
     }
     put_u64(buf, cfg.cache_lines as u64);
-    put_u64(buf, cfg.cache_auto_disable_after);
-    put_u8(buf, cfg.recompress_on_escalate as u8);
-    match cfg.modeled_link_bandwidth {
-        Some(bw) => {
-            put_u8(buf, 1);
-            put_f64(buf, bw);
-        }
-        None => put_u8(buf, 0),
-    }
     put_u8(buf, cfg.fusion as u8);
     put_u64(buf, cfg.max_batch_gates as u64);
     match &cfg.spill {
@@ -80,19 +68,10 @@ pub fn put_sim_config(buf: &mut Vec<u8>, cfg: &SimConfig) -> Result<(), NetError
                 }
                 None => put_u8(buf, 0),
             }
-            put_u8(
-                buf,
-                match spill.eviction {
-                    Eviction::Lru => EVICTION_LRU,
-                    Eviction::PlannedMin => EVICTION_PLANNED_MIN,
-                },
-            );
             put_u8(buf, spill.write_behind as u8);
-            put_u64(buf, spill.shards as u64);
         }
         None => put_u8(buf, 0),
     }
-    put_u8(buf, cfg.prefetch as u8);
     put_u8(buf, cfg.partial_decode as u8);
     match &cfg.remote {
         Some(remote) => {
@@ -126,13 +105,6 @@ pub fn take_sim_config(cur: &mut Cursor) -> Result<SimConfig, NetError> {
         ladder.push(take_bound(cur)?);
     }
     let cache_lines = cur.take_u64()? as usize;
-    let cache_auto_disable_after = cur.take_u64()?;
-    let recompress_on_escalate = cur.take_u8()? != 0;
-    let modeled_link_bandwidth = if cur.take_u8()? != 0 {
-        Some(cur.take_f64()?)
-    } else {
-        None
-    };
     let fusion = cur.take_u8()? != 0;
     let max_batch_gates = cur.take_u64()? as usize;
     let spill = if cur.take_u8()? != 0 {
@@ -142,24 +114,15 @@ pub fn take_sim_config(cur: &mut Cursor) -> Result<SimConfig, NetError> {
         } else {
             None
         };
-        let eviction = match cur.take_u8()? {
-            EVICTION_LRU => Eviction::Lru,
-            EVICTION_PLANNED_MIN => Eviction::PlannedMin,
-            t => return Err(NetError::Corrupt(format!("unknown eviction tag {t}"))),
-        };
         let write_behind = cur.take_u8()? != 0;
-        let shards = cur.take_u64()? as usize;
         Some(SpillConfig {
             resident_blocks,
             dir,
-            eviction,
             write_behind,
-            shards,
         })
     } else {
         None
     };
-    let prefetch = cur.take_u8()? != 0;
     let partial_decode = cur.take_u8()? != 0;
     let remote = if cur.take_u8()? != 0 {
         let n = cur.take_count(1)?;
@@ -184,13 +147,9 @@ pub fn take_sim_config(cur: &mut Cursor) -> Result<SimConfig, NetError> {
         lossy_codec,
         ladder,
         cache_lines,
-        cache_auto_disable_after,
-        recompress_on_escalate,
-        modeled_link_bandwidth,
         fusion,
         max_batch_gates,
         spill,
-        prefetch,
         partial_decode,
         remote,
     })
@@ -297,7 +256,6 @@ pub fn take_sim_report(cur: &mut Cursor) -> Result<SimReport, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Eviction;
 
     #[test]
     fn config_round_trips_with_all_options_set() {
@@ -307,9 +265,7 @@ mod tests {
             .with_memory_budget(1 << 24)
             .with_spill(4)
             .with_spill_dir(PathBuf::from("/tmp/qcs-spill"))
-            .with_eviction(Eviction::PlannedMin)
             .with_write_behind(true)
-            .with_spill_shards(4)
             .with_remote(vec!["127.0.0.1:9000"]);
         let mut buf = Vec::new();
         put_sim_config(&mut buf, &cfg).unwrap();

@@ -7,13 +7,12 @@
 //! - [`MemStore`] — the classic all-resident tier (what the engine always
 //!   did): every block stays in memory, no I/O, no residency cap.
 //! - [`SpillStore`] — the out-of-core tier: a configurable number of hot
-//!   compressed blocks stay resident (victims chosen by a pluggable
-//!   [`EvictionPolicy`] — [`Lru`] by default, or the plan-driven
-//!   [`PlannedMin`]) and the rest are spilled to per-rank segment files as
-//!   self-describing [`qcs_compress::frame`]s (codec id, error bound,
-//!   length, checksum), optionally sharded across several directories.
-//!   The simulable qubit count is then bounded by disk, not RAM — the next
-//!   rung below the paper's compression ladder in the storage hierarchy.
+//!   compressed blocks stay resident (the least recently touched one is
+//!   evicted first) and the rest are spilled to a per-rank segment file
+//!   as self-describing [`qcs_compress::frame`]s (codec id, error bound,
+//!   length, checksum). The simulable qubit count is then bounded by
+//!   disk, not RAM — the next rung below the paper's compression ladder
+//!   in the storage hierarchy.
 //!
 //! Workers address blocks by their local slot index and move them with
 //! [`BlockStore::take`] / [`BlockStore::put`] (exclusive, for the
@@ -23,12 +22,7 @@
 //! spill tier coalesces adjacent segment frames into single reads) and
 //! announce the chunk after next with [`BlockStore::prefetch`], which a
 //! [`SpillStore`] serves from a background fetch thread so the next
-//! chunk's disk reads overlap the current chunk's compute. A planned wave
-//! additionally announces its full ordered access window with
-//! [`BlockStore::plan_accesses`], which the [`PlannedMin`] eviction
-//! policy consumes to evict the resident block whose next planned use is
-//! furthest away (Belady's MIN — implementable exactly because the
-//! schedule's `AccessPlan` is an exact future-reference trace).
+//! chunk's disk reads overlap the current chunk's compute.
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
@@ -36,15 +30,14 @@
 //!
 //! With [`SpillOptions::write_behind`] on, evictions leave the critical
 //! path too: the victim moves into a bounded *dirty buffer* (still served
-//! from memory, still counted against residency accounting) and
-//! background writer threads — one per shard, bounded — drain coalesced
-//! runs of dirty blocks into the segment files. Each writer reserves its
-//! run's exact byte extent under the lock and lands it with one
-//! positional write outside it, so shards see concurrent,
-//! non-overlapping I/O. [`SpillStore::flush`] is the barrier that makes
-//! every dirty block durable; it runs before compaction and on drop, and
-//! it (or the next `take`) surfaces any deferred write error instead of
-//! dropping it.
+//! from memory, still counted against residency accounting) and a
+//! background writer thread drains coalesced runs of dirty blocks into
+//! the segment file. The writer reserves its run's exact byte extent
+//! under the lock and lands it with one positional write outside it, so
+//! a synchronous fallback append never overlaps it.
+//! [`SpillStore::flush_dirty`] is the barrier that makes every dirty
+//! block durable; it runs before compaction and on drop, and it (or the
+//! next `take`) surfaces any deferred write error instead of dropping it.
 //!
 //! # Byte-range reads (partial decode)
 //!
@@ -58,19 +51,15 @@
 //! fetcher ahead of need. Both fall back to `None`/no-op for resident
 //! blocks, pre-segmented (v1) frames, and stores without a spill tier.
 //!
-//! # Segment-file layout, sharding, and compaction
+//! # Segment-file layout and compaction
 //!
-//! A [`SpillStore`] appends one frame per eviction to a segment file and
-//! remembers `(shard, offset, length)` per slot. With
-//! [`SpillOptions::shards`] ` > 1` the store keeps one segment file in
-//! each of N shard directories and rotates eviction runs across them in
-//! eviction order — which under [`PlannedMin`] follows the planned access
-//! order — so coalesced prefetch and write-behind runs land on distinct
-//! shards. A block fetched back leaves its old frame behind as garbage;
-//! when a shard's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and
-//! twice its live bytes, the store rewrites the live frames into a fresh
-//! segment and atomically renames it over the old one, bounding disk
-//! usage at ~3× the live spilled working set. Fetches verify the frame
+//! A [`SpillStore`] appends one frame per eviction to its segment file
+//! and remembers `(offset, length)` per slot. A block fetched back leaves
+//! its old frame behind as garbage; when the segment's dead bytes exceed
+//! both [`COMPACT_MIN_DEAD_BYTES`] and twice its live bytes, the store
+//! rewrites the live frames into a fresh segment and atomically renames
+//! it over the old one, bounding disk usage at ~3× the live spilled
+//! working set. Fetches verify the frame
 //! checksum, so torn writes and bit rot surface as [`SimError::Spill`]
 //! instead of corrupt amplitudes.
 //!
@@ -183,7 +172,7 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     /// the spilled frames among them on a background thread, staging the
     /// decoded blocks so the upcoming `take`/`fetch_many` calls do not
     /// block on disk. Purely advisory: stores without a background fetch
-    /// path (or with prefetching disabled) ignore it.
+    /// path ignore it.
     fn prefetch(&self, slots: &[usize]) {
         let _ = slots;
     }
@@ -220,23 +209,6 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     /// [`BlockStore::prefetch`].
     fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
         let _ = hints;
-    }
-
-    /// Announce the ordered slot accesses the caller plans to perform
-    /// next (the remaining wave, with the next wave's lookahead appended),
-    /// replacing any previous window. Purely advisory, like
-    /// [`BlockStore::prefetch`]: a plan-aware spill tier feeds the window
-    /// to its [`EvictionPolicy`] (Belady MIN keys its victim choice on
-    /// it); every other store ignores it.
-    fn plan_accesses(&self, upcoming: &[usize]) {
-        let _ = upcoming;
-    }
-
-    /// True when the store's eviction policy consumes
-    /// [`BlockStore::plan_accesses`] windows — lets callers skip building
-    /// the window for stores that would ignore it.
-    fn wants_plan(&self) -> bool {
-        false
     }
 
     /// Barrier: make every pending background write durable and surface
@@ -328,184 +300,6 @@ impl BlockStore for MemStore {
 }
 
 // ---------------------------------------------------------------------------
-// Eviction policies
-// ---------------------------------------------------------------------------
-
-/// Victim selection for a [`SpillStore`]'s residency budget.
-///
-/// The store tells the policy about the planned future ([`EvictionPolicy::
-/// note_plan`], fed from [`BlockStore::plan_accesses`]) and the actual
-/// present ([`EvictionPolicy::note_access`], one call per logical
-/// `take`/`peek`/`fetch_many` access, in order); when a `put` overflows
-/// the budget, [`EvictionPolicy::pick_victim`] chooses which resident
-/// block spills. Policies are selected per simulation through
-/// [`Eviction`] on the spill config:
-///
-/// ```
-/// use qcs_core::{Eviction, SimConfig};
-///
-/// // Belady's MIN over the schedule's exact access plan, with eviction
-/// // writes drained off the critical path by the write-behind thread.
-/// let cfg = SimConfig::default()
-///     .with_spill(4)
-///     .with_eviction(Eviction::PlannedMin)
-///     .with_write_behind(true);
-/// let spill = cfg.spill.as_ref().unwrap();
-/// assert_eq!(spill.eviction, Eviction::PlannedMin);
-/// assert!(spill.write_behind);
-///
-/// // The default spill tier keeps the classic LRU, synchronous writes.
-/// let lru = SimConfig::default().with_spill(4);
-/// assert_eq!(lru.spill.as_ref().unwrap().eviction, Eviction::Lru);
-/// ```
-pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// Replace the policy's plan window with the upcoming ordered slot
-    /// accesses. Advisory; the default keeps no window.
-    fn note_plan(&mut self, upcoming: &[usize]) {
-        let _ = upcoming;
-    }
-
-    /// Observe one actual slot access (in access order), letting the
-    /// policy advance its plan window past it. Advisory; default ignores.
-    fn note_access(&mut self, slot: usize) {
-        let _ = slot;
-    }
-
-    /// Choose the eviction victim among `residents`, given as
-    /// `(slot, last-touch stamp)` pairs (stamps are unique and increase
-    /// with recency). Returns `None` only when `residents` is empty.
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize>;
-}
-
-/// Evict the least-recently-touched resident block (the classic policy,
-/// and the behavior every pre-policy release shipped).
-#[derive(Debug, Default)]
-pub struct Lru;
-
-/// The LRU victim among `residents`: minimum `(stamp, slot)`.
-fn lru_victim(residents: &[(usize, u64)]) -> Option<usize> {
-    residents
-        .iter()
-        .map(|&(slot, stamp)| (stamp, slot))
-        .min()
-        .map(|(_, slot)| slot)
-}
-
-impl EvictionPolicy for Lru {
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
-        lru_victim(residents)
-    }
-}
-
-/// Belady's MIN on the planned access window: evict the resident block
-/// whose next planned use is furthest away.
-///
-/// The schedule's `AccessPlan` is an exact future-reference trace, so the
-/// optimal offline policy is implementable online: the worker announces
-/// each wave's ordered accesses (plus the next wave's lookahead) through
-/// [`BlockStore::plan_accesses`], actual accesses consume the window from
-/// the front, and a victim choice ranks residents by their next position
-/// in what remains. Blocks the window never mentions again are the best
-/// victims; among those (and when the window is empty — e.g. unplanned
-/// access patterns) the policy degrades to exact [`Lru`] ordering.
-#[derive(Debug, Default)]
-pub struct PlannedMin {
-    /// Pending occurrence positions per slot, front = soonest.
-    occurrences: HashMap<usize, VecDeque<u64>>,
-    /// Window position of the next unconsumed planned access.
-    cursor: u64,
-}
-
-impl PlannedMin {
-    /// Next planned position of `slot` at or after the cursor, dropping
-    /// stale (already passed) occurrences on the way.
-    fn next_use(&mut self, slot: usize) -> Option<u64> {
-        let dq = self.occurrences.get_mut(&slot)?;
-        while let Some(&front) = dq.front() {
-            if front < self.cursor {
-                dq.pop_front();
-            } else {
-                return Some(front);
-            }
-        }
-        None
-    }
-}
-
-impl EvictionPolicy for PlannedMin {
-    fn note_plan(&mut self, upcoming: &[usize]) {
-        self.occurrences.clear();
-        self.cursor = 0;
-        for (pos, &slot) in upcoming.iter().enumerate() {
-            self.occurrences
-                .entry(slot)
-                .or_default()
-                .push_back(pos as u64);
-        }
-    }
-
-    fn note_access(&mut self, slot: usize) {
-        if let Some(dq) = self.occurrences.get_mut(&slot) {
-            while let Some(front) = dq.pop_front() {
-                if front >= self.cursor {
-                    self.cursor = front + 1;
-                    break;
-                }
-            }
-        }
-    }
-
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
-        // Victim preference: no planned use at all beats any planned use;
-        // later planned use beats sooner; LRU `(stamp, slot)` breaks the
-        // remaining ties (and carries the whole choice when the window is
-        // empty).
-        residents
-            .iter()
-            .map(|&(slot, stamp)| (slot, stamp, self.next_use(slot)))
-            .max_by_key(|&(slot, stamp, next)| {
-                (
-                    next.is_none(),
-                    next,
-                    std::cmp::Reverse(stamp),
-                    std::cmp::Reverse(slot),
-                )
-            })
-            .map(|(slot, _, _)| slot)
-    }
-}
-
-/// Config-level selector for the [`EvictionPolicy`] a [`SpillStore`]
-/// runs (see the trait docs for an end-to-end example).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Eviction {
-    /// [`Lru`]: evict the least-recently-touched resident block.
-    #[default]
-    Lru,
-    /// [`PlannedMin`]: Belady's MIN over the planned access window,
-    /// falling back to LRU ordering for blocks outside the window.
-    PlannedMin,
-}
-
-impl Eviction {
-    /// Instantiate the selected policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            Eviction::Lru => Box::new(Lru),
-            Eviction::PlannedMin => Box::<PlannedMin>::default(),
-        }
-    }
-
-    /// Short display name (bench tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            Eviction::Lru => "lru",
-            Eviction::PlannedMin => "min",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SpillStore
 // ---------------------------------------------------------------------------
 
@@ -554,30 +348,18 @@ impl Drop for SegmentDirGuard {
 }
 
 /// Construction options for a [`SpillStore`] beyond the required
-/// geometry: the eviction policy, the asynchronous pipelines to run
-/// (prefetch, write-behind), segment sharding, and an optional shared
-/// [`SegmentDirGuard`] for panic-safe cleanup.
+/// geometry: the write mode and an optional shared [`SegmentDirGuard`]
+/// for panic-safe cleanup.
 #[derive(Debug, Default, Clone)]
 pub struct SpillOptions {
-    /// Spawn the store's background fetch thread and honor
-    /// [`BlockStore::prefetch`] hints (off: hints are ignored and every
-    /// spilled fetch blocks, the pre-pipeline behavior).
-    pub prefetch: bool,
     /// Directory guard keeping the segment dir alive until the last store
     /// (or the facade) drops, then removing the whole tree.
     pub dir_guard: Option<Arc<SegmentDirGuard>>,
-    /// Victim-selection policy for the residency budget ([`Lru`] by
-    /// default; [`PlannedMin`] consumes [`BlockStore::plan_accesses`]).
-    pub eviction: Eviction,
     /// Spawn the store's background writer thread: evictions enqueue into
     /// a bounded dirty buffer and return immediately, the writer drains
-    /// coalesced runs to the segment files (off: every eviction appends
+    /// coalesced runs to the segment file (off: every eviction appends
     /// its frame synchronously on the critical path).
     pub write_behind: bool,
-    /// Number of segment shards, each a directory holding one segment
-    /// file; eviction runs rotate across shards. `0` is treated as 1
-    /// (the single-segment layout).
-    pub shards: usize,
 }
 
 /// One slot's tier in a [`SpillStore`].
@@ -585,7 +367,7 @@ pub struct SpillOptions {
 enum Slot {
     /// Taken by the worker; will be put back at the end of the cycle.
     InFlight,
-    /// Hot: held in memory, competing under the eviction policy.
+    /// Hot: held in memory; the lowest `stamp` is the next victim.
     Resident { blk: CompressedBlock, stamp: u64 },
     /// Evicted into the dirty buffer: still served from memory while the
     /// write-behind thread appends its frame. `gen` (a clock stamp)
@@ -593,27 +375,34 @@ enum Slot {
     /// its old frame was in flight gets a higher generation, so the stale
     /// frame is discarded as dead bytes instead of adopted.
     Dirty { blk: CompressedBlock, gen: u64 },
-    /// Cold: one frame in a segment shard.
+    /// Cold: one frame in the segment file.
     Spilled {
-        shard: u32,
         offset: u64,
         frame_len: u32,
         payload_len: u32,
     },
 }
 
-/// One segment shard: a file of checksummed frames plus its usage
-/// accounting (compaction is per shard).
+/// The least recently touched resident slot: the eviction victim.
+fn lru_victim(slots: &[Slot]) -> Option<usize> {
+    slots
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| match s {
+            Slot::Resident { stamp, .. } => Some((*stamp, i)),
+            _ => None,
+        })
+        .min()
+        .map(|(_, i)| i)
+}
+
+/// The segment file of checksummed frames plus its usage accounting.
 #[derive(Debug)]
-struct Shard {
+struct Segment {
     file: File,
-    path: PathBuf,
-    /// Directory created for this shard (removed on drop), when the
-    /// sharded layout is in use.
-    dir: Option<PathBuf>,
     /// Append offset (end of the last frame).
     end: u64,
-    /// Bytes of live frames in this shard.
+    /// Bytes of live frames in the segment.
     live: u64,
     /// Bytes of superseded frames awaiting compaction.
     dead: u64,
@@ -633,7 +422,7 @@ struct WriteFault {
 
 #[derive(Debug)]
 struct SpillInner {
-    shards: Vec<Shard>,
+    seg: Segment,
     slots: Vec<Slot>,
     /// LRU clock; bumped on every residency touch.
     clock: u64,
@@ -654,42 +443,33 @@ struct SpillInner {
     staged_ranges: HashMap<usize, RangeFetch>,
     /// Heap bytes held in `staged_ranges`.
     staged_range_bytes: u64,
-    /// Slots whose frames a background fetcher is currently reading.
+    /// Slots whose frames the background fetcher is currently reading.
     /// Foreground fetches of a pending slot wait on `Shared::resolved`
     /// instead of issuing a duplicate read.
     pending: HashSet<usize>,
-    /// Prefetch jobs awaiting a fetcher thread, split per shard at
-    /// enqueue so fetchers read distinct shards concurrently.
+    /// Prefetch jobs awaiting the fetcher thread.
     fetch_jobs: VecDeque<FetchJob>,
-    /// Victim selection for `evict_over_cap`.
-    policy: Box<dyn EvictionPolicy>,
     /// Slots awaiting their write-behind append, in eviction order.
     dirty_queue: VecDeque<usize>,
     /// Compressed bytes held in the dirty buffer.
     dirty_bytes: u64,
-    /// Number of writer threads currently appending a claimed run
-    /// (defers compaction and flush completion while non-zero).
-    writers_busy: usize,
-    /// Writer threads still running; once zero (normal exit or panic),
-    /// waiters fall back to synchronous draining.
-    writers_alive: usize,
+    /// The writer thread is appending a claimed run (defers compaction
+    /// and flush completion).
+    writer_busy: bool,
+    /// The write-behind thread is running; false without write-behind, or
+    /// once the writer is gone (normal exit or panic), when waiters fall
+    /// back to synchronous draining.
+    writer_alive: bool,
     /// Set by drop: background threads finish their backlog and exit.
     shutdown: bool,
     /// First write-behind failure not yet surfaced; the next `take` or
     /// `flush` returns it instead of silently dropping it.
     write_error: Option<String>,
-    /// Rotates eviction runs across shards (in eviction order).
-    spill_seq: u64,
-    /// Longest run one writer drain appends to a single shard (the
-    /// residency budget): capping runs keeps consecutive drains actually
-    /// rotating shards instead of landing a whole backlog on one.
-    run_cap: usize,
     /// Test-only fault injection for the writer thread.
     fault: WriteFault,
-    /// Recycled write-behind run buffers (bounded by the writer count):
-    /// each drain encodes its whole run into one of these and lands it
-    /// with a single positional write.
-    wb_bufs: Vec<Vec<u8>>,
+    /// Recycled write-behind run buffer: each drain encodes its whole run
+    /// into it and lands it with a single positional write.
+    wb_buf: Vec<u8>,
 }
 
 /// State shared between a [`SpillStore`] and its background I/O threads.
@@ -699,9 +479,9 @@ struct Shared {
     /// Signaled whenever pending prefetches resolve (staged or failed)
     /// or a writer commits/aborts a run.
     resolved: Condvar,
-    /// Wakes fetcher threads when `fetch_jobs` gains work (or shutdown).
+    /// Wakes the fetcher thread when `fetch_jobs` gains work (or shutdown).
     fetch_work: Condvar,
-    /// Wakes writer threads when `dirty_queue` gains work (or shutdown).
+    /// Wakes the writer thread when `dirty_queue` gains work (or shutdown).
     write_work: Condvar,
 }
 
@@ -733,11 +513,10 @@ struct RangeJob {
     segs: Range<usize>,
 }
 
-/// One unit of background-fetcher work, confined to a single shard so N
-/// fetcher threads read N shards concurrently. The handle is cloned from
-/// the shard file *at snapshot time*, so reads stay valid even if a
-/// compaction renames a fresh segment over a path mid-flight (the clone
-/// still addresses the old inode, whose live frames are untouched).
+/// One unit of background-fetcher work. The handle is cloned from the
+/// segment file *at snapshot time*, so reads stay valid even if a
+/// compaction renames a fresh segment over the path mid-flight (the
+/// clone still addresses the old inode, whose live frames are untouched).
 #[derive(Debug)]
 enum FetchJob {
     /// Whole frames to read, coalesce, and stage as blocks.
@@ -746,21 +525,44 @@ enum FetchJob {
     Ranges { file: File, req: RangeJob },
 }
 
-/// Cap on background I/O threads of each kind (fetchers, writers): one
-/// per shard, bounded so a wide shard layout cannot fork a thread herd.
-const MAX_IO_THREADS: usize = 8;
-
 /// The out-of-core tier: at most `cap` hot blocks resident (LRU by last
 /// touch), the rest spilled to a per-rank segment file of checksummed
 /// frames. The segment file is deleted on drop.
 ///
+/// ```
+/// use qcs_cluster::Metrics;
+/// use qcs_compress::{CodecId, ErrorBound};
+/// use qcs_core::{BlockCodec, BlockStore, SpillStore};
+///
+/// let codec = BlockCodec::new(CodecId::SolutionC);
+/// let blocks = (0..4)
+///     .map(|i| Some(codec.compress(&[i as f64; 16], ErrorBound::Lossless).unwrap()))
+///     .collect();
+/// let metrics = Metrics::new();
+/// let dir = std::env::temp_dir().join(format!("qcs-doc-spill-{}", std::process::id()));
+/// // A budget of one hot block: seeding spills the three oldest.
+/// let store = SpillStore::create(&dir, "r0", 1, metrics.clone(), blocks).unwrap();
+/// assert_eq!(metrics.spills(), 3);
+/// let blk = store.take(0).unwrap(); // read back from the segment file
+/// assert_eq!(metrics.fetches(), 1);
+/// let mut amps = Vec::new();
+/// codec.decompress(&blk, &mut amps).unwrap();
+/// assert_eq!(amps, vec![0.0; 16]);
+/// store.put(0, blk).unwrap(); // evicts block 3, the least recently put
+/// assert_eq!(metrics.spills(), 4);
+/// let path = store.segment_path().to_path_buf();
+/// drop(store);
+/// assert!(!path.exists());
+/// # std::fs::remove_dir_all(&dir).ok();
+/// ```
+///
 /// # The prefetch pipeline
 ///
-/// With [`SpillOptions::prefetch`] on, the store runs one background
-/// fetch thread. [`BlockStore::prefetch`] snapshots the spilled frames
-/// among the hinted slots (marking them *pending*) and hands the snapshot
-/// to the thread, which reads them — adjacent frames coalesced into
-/// single reads — and parks the decoded blocks in a *staging* buffer.
+/// The store runs one background fetch thread. [`BlockStore::prefetch`]
+/// snapshots the spilled frames among the hinted slots (marking them
+/// *pending*) and hands the snapshot to the thread, which reads them —
+/// adjacent frames coalesced into single reads — and parks the decoded
+/// blocks in a *staging* buffer.
 /// Staging plus pending never exceed the residency budget, so the store's
 /// memory ceiling is at most double-buffered: one budget of residents,
 /// one of staged next-chunk blocks. A later `take`/`fetch_many` of a
@@ -769,28 +571,14 @@ const MAX_IO_THREADS: usize = 8;
 /// slot still pending waits for the in-flight background read rather
 /// than issuing a duplicate one — and because the wave stalled, that
 /// consumption is accounted as a *blocking* fetch even though the bytes
-/// came through the fetcher. Everything else is a blocking fetch,
-/// exactly as without the pipeline.
-///
-/// Both pipelines scale with the shard layout: the store spawns one
-/// fetcher and one writer thread per shard (bounded by
-/// `MAX_IO_THREADS`), prefetch jobs are split per shard at enqueue,
-/// and each writer claims a run together with a shard *and its exact
-/// byte extent* under the lock, then lands the run with a positional
-/// write outside it — so shards see concurrent, non-overlapping I/O.
+/// came through the fetcher. Everything else is a blocking fetch.
 pub struct SpillStore {
     cap: usize,
     path: PathBuf,
     metrics: Metrics,
     shared: Arc<Shared>,
-    /// True when the background fetch pipeline is on (fetchers spawned).
-    prefetch_on: bool,
-    /// True when the write-behind pipeline is on (writers spawned).
-    write_behind: bool,
     /// Background fetcher and writer threads, joined on drop.
     io_threads: Vec<std::thread::JoinHandle<()>>,
-    /// The policy selector this store was built with.
-    eviction: Eviction,
     /// Keeps the segment directory alive until the last store drops.
     _dir_guard: Option<Arc<SegmentDirGuard>>,
 }
@@ -800,7 +588,6 @@ impl std::fmt::Debug for SpillStore {
         f.debug_struct("SpillStore")
             .field("cap", &self.cap)
             .field("path", &self.path)
-            .field("eviction", &self.eviction)
             .finish()
     }
 }
@@ -813,8 +600,8 @@ impl SpillStore {
     /// Create the segment file under `dir` (created if missing) and seed
     /// the store with `blocks`; blocks beyond the `cap.max(1)` residency
     /// budget spill immediately. `label` distinguishes per-rank files of
-    /// one simulation. Prefetching is off; use [`SpillStore::create_with`]
-    /// to enable it or to attach a directory guard.
+    /// one simulation. Evicted frames are written synchronously; use
+    /// [`SpillStore::create_with`] for write-behind or a directory guard.
     pub fn create(
         dir: &Path,
         label: &str,
@@ -836,40 +623,25 @@ impl SpillStore {
     ) -> Result<Self, SimError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create spill dir", e))?;
         let seq = SEG_SEQ.fetch_add(1, Ordering::Relaxed);
-        let nshards = opts.shards.max(1);
-        let stem = format!("qcs-spill-{label}-{}-{seq}", std::process::id());
-        let mut shards = Vec::with_capacity(nshards);
-        for k in 0..nshards {
-            // One segment file per shard; the sharded layout puts each in
-            // its own directory so runs land on distinct directories.
-            let (shard_dir, path) = if nshards == 1 {
-                (None, dir.join(format!("{stem}.seg")))
-            } else {
-                let d = dir.join(format!("{stem}-shard{k}"));
-                std::fs::create_dir_all(&d).map_err(|e| io_err("create shard dir", e))?;
-                let p = d.join("seg");
-                (Some(d), p)
-            };
-            let file = File::options()
-                .read(true)
-                .write(true)
-                .create_new(true)
-                .open(&path)
-                .map_err(|e| io_err("create spill segment", e))?;
-            shards.push(Shard {
-                file,
-                path,
-                dir: shard_dir,
-                end: 0,
-                live: 0,
-                dead: 0,
-                scratch: Vec::new(),
-            });
-        }
-        let path = shards[0].path.clone();
+        let path = dir.join(format!(
+            "qcs-spill-{label}-{}-{seq}.seg",
+            std::process::id()
+        ));
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| io_err("create spill segment", e))?;
         let shared = Arc::new(Shared {
             inner: StdMutex::new(SpillInner {
-                shards,
+                seg: Segment {
+                    file,
+                    end: 0,
+                    live: 0,
+                    dead: 0,
+                    scratch: Vec::new(),
+                },
                 slots: blocks.iter().map(|_| Slot::InFlight).collect(),
                 clock: 0,
                 resident_count: 0,
@@ -881,64 +653,43 @@ impl SpillStore {
                 staged_range_bytes: 0,
                 pending: HashSet::new(),
                 fetch_jobs: VecDeque::new(),
-                policy: opts.eviction.build(),
                 dirty_queue: VecDeque::new(),
                 dirty_bytes: 0,
-                writers_busy: 0,
-                writers_alive: 0,
+                writer_busy: false,
+                writer_alive: opts.write_behind,
                 shutdown: false,
                 write_error: None,
-                spill_seq: 0,
-                run_cap: cap.max(1),
                 fault: WriteFault::default(),
-                wb_bufs: Vec::new(),
+                wb_buf: Vec::new(),
             }),
             resolved: Condvar::new(),
             fetch_work: Condvar::new(),
             write_work: Condvar::new(),
         });
-        // One I/O thread of each enabled kind per shard, bounded: the
-        // pipelines issue reads/writes to distinct shards concurrently.
-        let io_thread_count = nshards.min(MAX_IO_THREADS);
-        let mut io_threads = Vec::new();
-        if opts.prefetch {
-            for k in 0..io_thread_count {
-                let handle = std::thread::Builder::new()
-                    .name(format!("qcs-prefetch-{label}-{k}"))
-                    .spawn({
-                        let shared = Arc::clone(&shared);
-                        let metrics = metrics.clone();
-                        move || run_fetcher(&shared, &metrics)
-                    })
-                    .map_err(|e| io_err("spawn prefetch thread", e))?;
-                io_threads.push(handle);
-            }
-        }
-        if opts.write_behind {
-            shared.lock().writers_alive = io_thread_count;
-            for k in 0..io_thread_count {
-                let handle = std::thread::Builder::new()
-                    .name(format!("qcs-writer-{label}-{k}"))
-                    .spawn({
-                        let shared = Arc::clone(&shared);
-                        let metrics = metrics.clone();
-                        move || run_writer(&shared, &metrics)
-                    })
-                    .map_err(|e| io_err("spawn write-behind thread", e))?;
-                io_threads.push(handle);
-            }
-        }
-        let store = Self {
+        // Built before its threads, so a failed spawn drops the store and
+        // the drop joins whatever did start.
+        let mut store = Self {
             cap: cap.max(1),
             path,
             metrics,
             shared,
-            prefetch_on: opts.prefetch,
-            write_behind: opts.write_behind,
-            io_threads,
-            eviction: opts.eviction,
+            io_threads: Vec::new(),
             _dir_guard: opts.dir_guard,
         };
+        let spawn = |kind: &str, body: fn(&Shared, &Metrics)| {
+            let shared = Arc::clone(&store.shared);
+            let metrics = store.metrics.clone();
+            std::thread::Builder::new()
+                .name(format!("qcs-{kind}-{label}"))
+                .spawn(move || body(&shared, &metrics))
+                .map_err(|e| io_err(&format!("spawn {kind} thread"), e))
+        };
+        let fetcher = spawn("prefetch", run_fetcher)?;
+        store.io_threads.push(fetcher);
+        if opts.write_behind {
+            let writer = spawn("writer", run_writer)?;
+            store.io_threads.push(writer);
+        }
         for (slot, blk) in blocks.into_iter().enumerate() {
             match blk {
                 Some(blk) => store.put(slot, blk)?,
@@ -1000,36 +751,33 @@ impl SpillStore {
         &self.path
     }
 
-    /// Append one frame for `blk` to `shard`, returning
+    /// Append one frame for `blk` to the segment, returning
     /// `(offset, frame_len)`.
-    fn append_frame(shard: &mut Shard, blk: &CompressedBlock) -> Result<(u64, u32), SimError> {
-        let offset = shard.end;
-        shard
-            .file
+    fn append_frame(seg: &mut Segment, blk: &CompressedBlock) -> Result<(u64, u32), SimError> {
+        let offset = seg.end;
+        seg.file
             .seek(SeekFrom::Start(offset))
             .map_err(|e| io_err("seek for spill", e))?;
-        // Stage the frame in the shard's recycled scratch so the append is
-        // one write syscall and steady-state spills reuse its capacity.
-        shard.scratch.clear();
-        frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut shard.scratch)
+        // Stage the frame in the segment's recycled scratch so the append
+        // is one write syscall and steady-state spills reuse its capacity.
+        seg.scratch.clear();
+        frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut seg.scratch)
             .map_err(|e| io_err("write spill frame", e))?;
-        let frame_len = shard.scratch.len() as u64;
-        shard
-            .file
-            .write_all(&shard.scratch)
+        let frame_len = seg.scratch.len() as u64;
+        seg.file
+            .write_all(&seg.scratch)
             .map_err(|e| io_err("write spill frame", e))?;
-        shard.end += frame_len;
+        seg.end += frame_len;
         Ok((offset, frame_len as u32))
     }
 
-    /// Read the frame at `offset` of `shard` back into a block, verifying
-    /// its checksum.
-    fn read_frame_at(shard: &mut Shard, offset: u64) -> Result<CompressedBlock, SimError> {
-        shard
-            .file
+    /// Read the frame at `offset` of the segment back into a block,
+    /// verifying its checksum.
+    fn read_frame_at(seg: &mut Segment, offset: u64) -> Result<CompressedBlock, SimError> {
+        seg.file
             .seek(SeekFrom::Start(offset))
             .map_err(|e| io_err("seek for fetch", e))?;
-        let f = frame::read_frame(&mut shard.file).map_err(|e| io_err("read spill frame", e))?;
+        let f = frame::read_frame(&mut seg.file).map_err(|e| io_err("read spill frame", e))?;
         Ok(CompressedBlock {
             codec: f.codec,
             bound: f.bound,
@@ -1037,36 +785,24 @@ impl SpillStore {
         })
     }
 
-    /// Evict policy-chosen residents until the budget holds: enqueued
-    /// into the dirty buffer when write-behind runs, else appended
-    /// synchronously to a segment shard.
+    /// Evict least-recently-touched residents until the budget holds:
+    /// enqueued into the dirty buffer when write-behind runs, else
+    /// appended synchronously to the segment file.
     fn evict_over_cap<'a>(
         &self,
         mut inner: MutexGuard<'a, SpillInner>,
     ) -> Result<MutexGuard<'a, SpillInner>, SimError> {
         while inner.resident_count > self.cap {
-            let residents: Vec<(usize, u64)> = inner
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Slot::Resident { stamp, .. } => Some((i, *stamp)),
-                    _ => None,
-                })
-                .collect();
-            let victim = inner
-                .policy
-                .pick_victim(&residents)
-                .expect("resident_count > 0");
+            let victim = lru_victim(&inner.slots).expect("resident_count > 0");
             let blk = match std::mem::replace(&mut inner.slots[victim], Slot::InFlight) {
                 Slot::Resident { blk, .. } => blk,
                 _ => unreachable!("victim is resident"),
             };
             inner.resident_count -= 1;
             inner.resident_bytes -= blk.len() as u64;
-            if self.write_behind && inner.writers_alive > 0 {
+            if inner.writer_alive {
                 // Write-behind: park the victim in the dirty buffer (it
-                // still serves from memory) and let a writer drain it
+                // still serves from memory) and let the writer drain it
                 // off the critical path.
                 let gen = inner.clock;
                 inner.dirty_bytes += blk.len() as u64;
@@ -1074,14 +810,14 @@ impl SpillStore {
                 inner.dirty_queue.push_back(victim);
                 self.shared.write_work.notify_one();
                 // Bounded buffer: never hold more than a residency budget
-                // of dirty blocks; the wait (rare — the writers usually
-                // keep up) is critical-path spill time. A writer parked
+                // of dirty blocks; the wait (rare — the writer usually
+                // keeps up) is critical-path spill time. A writer parked
                 // on a deferred error never drains, so waiting on it
                 // would deadlock — exit and drain here instead.
                 if inner.dirty_queue.len() > self.cap {
                     let t = Instant::now();
                     while inner.dirty_queue.len() > self.cap
-                        && inner.writers_alive > 0
+                        && inner.writer_alive
                         && inner.write_error.is_none()
                     {
                         inner = self
@@ -1099,19 +835,13 @@ impl SpillStore {
                     self.metrics.add(Phase::SpillIo, t.elapsed());
                 }
             } else {
-                let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-                inner.spill_seq += 1;
                 let t = Instant::now();
-                let (offset, frame_len) = {
-                    let shard = &mut inner.shards[shard_idx];
-                    Self::append_frame(shard, &blk)?
-                };
+                let (offset, frame_len) = Self::append_frame(&mut inner.seg, &blk)?;
                 self.metrics.add(Phase::SpillIo, t.elapsed());
                 self.metrics.add_spill(frame_len as u64);
-                inner.shards[shard_idx].live += frame_len as u64;
+                inner.seg.live += frame_len as u64;
                 inner.spilled_payload_bytes += blk.len() as u64;
                 inner.slots[victim] = Slot::Spilled {
-                    shard: shard_idx as u32,
                     offset,
                     frame_len,
                     payload_len: blk.len() as u32,
@@ -1121,8 +851,8 @@ impl SpillStore {
         Ok(inner)
     }
 
-    /// Rewrite a shard's live frames into a fresh segment when its
-    /// garbage dominates.
+    /// Rewrite the live frames into a fresh segment when garbage
+    /// dominates.
     ///
     /// Deferred while the dirty buffer is non-empty or the writer is
     /// mid-drain (so compaction only ever observes durable frames); a
@@ -1132,24 +862,16 @@ impl SpillStore {
     /// (out of disk, torn write) leaves the store untouched on the old
     /// segment, and the orphaned `.tmp` is removed.
     fn maybe_compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
-        if !inner.dirty_queue.is_empty() || inner.writers_busy > 0 {
+        let (dead, live) = (inner.seg.dead, inner.seg.live);
+        if !inner.dirty_queue.is_empty()
+            || inner.writer_busy
+            || dead < COMPACT_MIN_DEAD_BYTES
+            || dead < 2 * live
+        {
             return Ok(());
         }
-        for si in 0..inner.shards.len() {
-            let (dead, live) = (inner.shards[si].dead, inner.shards[si].live);
-            if dead < COMPACT_MIN_DEAD_BYTES || dead < 2 * live {
-                continue;
-            }
-            self.compact_shard(inner, si)?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally compact shard `si` (see [`Self::maybe_compact`]).
-    fn compact_shard(&self, inner: &mut SpillInner, si: usize) -> Result<(), SimError> {
         let t = Instant::now();
-        let shard_path = inner.shards[si].path.clone();
-        let tmp_path = shard_path.with_extension("tmp");
+        let tmp_path = self.path.with_extension("tmp");
         let result = (|| {
             let mut tmp = File::options()
                 .read(true)
@@ -1164,16 +886,10 @@ impl SpillStore {
             let mut scratch = Vec::new();
             for i in 0..inner.slots.len() {
                 if let Slot::Spilled {
-                    shard,
-                    offset,
-                    frame_len,
-                    ..
+                    offset, frame_len, ..
                 } = inner.slots[i]
                 {
-                    if shard as usize != si {
-                        continue;
-                    }
-                    let blk = Self::read_frame_at(&mut inner.shards[si], offset)?;
+                    let blk = Self::read_frame_at(&mut inner.seg, offset)?;
                     scratch.clear();
                     frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut scratch)
                         .map_err(|e| io_err("rewrite spill frame", e))?;
@@ -1184,7 +900,7 @@ impl SpillStore {
                 }
             }
             tmp.sync_all().map_err(|e| io_err("sync compaction", e))?;
-            std::fs::rename(&tmp_path, &shard_path)
+            std::fs::rename(&tmp_path, &self.path)
                 .map_err(|e| io_err("swap compacted segment", e))?;
             Ok((tmp, moves, new_end))
         })();
@@ -1200,10 +916,10 @@ impl SpillStore {
                 *offset = new_offset;
             }
         }
-        inner.shards[si].file = tmp;
-        inner.shards[si].end = new_end;
-        inner.shards[si].live = new_end;
-        inner.shards[si].dead = 0;
+        inner.seg.file = tmp;
+        inner.seg.end = new_end;
+        inner.seg.live = new_end;
+        inner.seg.dead = 0;
         self.metrics.add(Phase::SpillIo, t.elapsed());
         Ok(())
     }
@@ -1222,13 +938,8 @@ impl SpillStore {
                     continue;
                 }
             };
-            let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-            inner.spill_seq += 1;
             let t = Instant::now();
-            let append = {
-                let shard = &mut inner.shards[shard_idx];
-                Self::append_frame(shard, &blk)
-            };
+            let append = Self::append_frame(&mut inner.seg, &blk);
             self.metrics.add(Phase::SpillIo, t.elapsed());
             let (offset, frame_len) = match append {
                 Ok(parts) => parts,
@@ -1240,11 +951,10 @@ impl SpillStore {
                 }
             };
             self.metrics.add_spill(frame_len as u64);
-            inner.shards[shard_idx].live += frame_len as u64;
+            inner.seg.live += frame_len as u64;
             inner.dirty_bytes -= blk.len() as u64;
             inner.spilled_payload_bytes += blk.len() as u64;
             inner.slots[victim] = Slot::Spilled {
-                shard: shard_idx as u32,
                 offset,
                 frame_len,
                 payload_len: blk.len() as u32,
@@ -1253,18 +963,18 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Barrier: block until every dirty block is durable in a segment
-    /// shard, surfacing any deferred write-behind error. Waits for the
+    /// Barrier: block until every dirty block is durable in the segment
+    /// file, surfacing any deferred write-behind error. Waits for the
     /// writer thread to drain (the wait is critical-path spill time) and
     /// falls back to draining synchronously when the writer is gone —
     /// including after a writer panic.
     pub fn flush_dirty(&self) -> Result<(), SimError> {
         let mut inner = self.shared.lock();
-        if self.write_behind && inner.writers_alive > 0 {
+        if inner.writer_alive {
             self.shared.write_work.notify_all();
             let t = Instant::now();
-            while (!inner.dirty_queue.is_empty() || inner.writers_busy > 0)
-                && inner.writers_alive > 0
+            while (!inner.dirty_queue.is_empty() || inner.writer_busy)
+                && inner.writer_alive
                 && inner.write_error.is_none()
             {
                 inner = self
@@ -1303,8 +1013,8 @@ impl SpillStore {
     #[cfg(test)]
     pub(crate) fn debug_wait_written(&self) {
         let mut inner = self.shared.lock();
-        while (!inner.dirty_queue.is_empty() || inner.writers_busy > 0)
-            && inner.writers_alive > 0
+        while (!inner.dirty_queue.is_empty() || inner.writer_busy)
+            && inner.writer_alive
             && inner.write_error.is_none()
         {
             inner = self
@@ -1330,7 +1040,6 @@ impl BlockStore for SpillStore {
         if let Some(e) = inner.write_error.take() {
             return Err(SimError::Spill(e));
         }
-        inner.policy.note_access(slot);
         // The slot leaves the spilled tier: any staged byte-range read
         // of its old frame is stale.
         if let Some(stale) = inner.staged_ranges.remove(&slot) {
@@ -1351,7 +1060,6 @@ impl BlockStore for SpillStore {
                 Ok(blk)
             }
             Slot::Spilled {
-                shard,
                 offset,
                 frame_len,
                 payload_len,
@@ -1370,14 +1078,14 @@ impl BlockStore for SpillStore {
                     }
                     None => {
                         let t = Instant::now();
-                        let blk = Self::read_frame_at(&mut inner.shards[shard as usize], offset)?;
+                        let blk = Self::read_frame_at(&mut inner.seg, offset)?;
                         self.metrics.add(Phase::SpillIo, t.elapsed());
                         self.metrics.add_fetch_blocking(frame_len as u64);
                         blk
                     }
                 };
-                inner.shards[shard as usize].live -= frame_len as u64;
-                inner.shards[shard as usize].dead += frame_len as u64;
+                inner.seg.live -= frame_len as u64;
+                inner.seg.dead += frame_len as u64;
                 inner.spilled_payload_bytes -= payload_len as u64;
                 Ok(blk)
             }
@@ -1411,7 +1119,6 @@ impl BlockStore for SpillStore {
     fn peek(&self, slot: usize) -> Result<CompressedBlock, SimError> {
         let inner = self.shared.lock();
         let (mut inner, waited) = self.wait_pending(inner, &[slot]);
-        inner.policy.note_access(slot);
         inner.clock += 1;
         let stamp = inner.clock;
         match &mut inner.slots[slot] {
@@ -1426,12 +1133,9 @@ impl BlockStore for SpillStore {
             // leaves the write-behind queue untouched.
             Slot::Dirty { blk, .. } => Ok(blk.clone()),
             Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                ..
+                offset, frame_len, ..
             } => {
-                let (shard, offset, frame_len) = (*shard, *offset, *frame_len);
+                let (offset, frame_len) = (*offset, *frame_len);
                 // Staging is a one-shot buffer: consuming on peek keeps
                 // its occupancy bounded by what is still ahead of the
                 // wave, at the cost of re-reading on a later fetch.
@@ -1445,7 +1149,7 @@ impl BlockStore for SpillStore {
                     return Ok(blk);
                 }
                 let t = Instant::now();
-                let blk = Self::read_frame_at(&mut inner.shards[shard as usize], offset)?;
+                let blk = Self::read_frame_at(&mut inner.seg, offset)?;
                 self.metrics.add(Phase::SpillIo, t.elapsed());
                 self.metrics.add_fetch_blocking(frame_len as u64);
                 Ok(blk)
@@ -1467,12 +1171,9 @@ impl BlockStore for SpillStore {
         if let Some(e) = inner.write_error.take() {
             return Err(SimError::Spill(e));
         }
-        for &slot in slots {
-            inner.policy.note_access(slot);
-        }
         let mut out: Vec<Option<CompressedBlock>> = slots.iter().map(|_| None).collect();
-        // (result index, shard, offset, frame_len): the blocking reads.
-        let mut reads: Vec<(usize, u32, u64, u32)> = Vec::new();
+        // (result index, offset, frame_len): the blocking reads.
+        let mut reads: Vec<(usize, u64, u32)> = Vec::new();
         for (i, &slot) in slots.iter().enumerate() {
             if let Some(stale) = inner.staged_ranges.remove(&slot) {
                 inner.staged_range_bytes -= stale.heap_bytes();
@@ -1489,13 +1190,12 @@ impl BlockStore for SpillStore {
                     out[i] = Some(blk);
                 }
                 Slot::Spilled {
-                    shard,
                     offset,
                     frame_len,
                     payload_len,
                 } => {
-                    inner.shards[shard as usize].live -= frame_len as u64;
-                    inner.shards[shard as usize].dead += frame_len as u64;
+                    inner.seg.live -= frame_len as u64;
+                    inner.seg.dead += frame_len as u64;
                     inner.spilled_payload_bytes -= payload_len as u64;
                     match inner.staged.remove(&slot) {
                         Some(blk) => {
@@ -1507,16 +1207,15 @@ impl BlockStore for SpillStore {
                             }
                             out[i] = Some(blk);
                         }
-                        None => reads.push((i, shard, offset, frame_len)),
+                        None => reads.push((i, offset, frame_len)),
                     }
                 }
                 Slot::InFlight => panic!("slot {slot} taken twice"),
             }
         }
         if !reads.is_empty() {
-            let files: Vec<&File> = inner.shards.iter().map(|s| &s.file).collect();
             let t = Instant::now();
-            let decoded = read_frame_runs(&files, &mut reads);
+            let decoded = read_frame_runs(&inner.seg.file, &mut reads);
             self.metrics.add(Phase::SpillIo, t.elapsed());
             for (i, frame_len, blk) in decoded {
                 self.metrics.add_fetch_blocking(frame_len as u64);
@@ -1530,76 +1229,48 @@ impl BlockStore for SpillStore {
     }
 
     /// Reserve the spilled frames among `slots` (up to the staging
-    /// budget) and hand them to the background fetchers, one job per
-    /// shard so distinct shards are read concurrently. No-op when
-    /// prefetching is off.
+    /// budget) and hand them to the background fetcher as one job.
     fn prefetch(&self, slots: &[usize]) {
-        if !self.prefetch_on {
-            return;
-        }
         let mut inner = self.shared.lock();
-        // (shard, frame) picks within the staging budget.
-        let mut picks: Vec<(u32, FrameAt)> = Vec::new();
+        let mut frames: Vec<FrameAt> = Vec::new();
         for &slot in slots {
-            if inner.staged.len() + inner.pending.len() + picks.len() >= self.cap {
+            if inner.staged.len() + inner.pending.len() + frames.len() >= self.cap {
                 break;
             }
             if inner.staged.contains_key(&slot)
                 || inner.pending.contains(&slot)
-                || picks.iter().any(|(_, f)| f.slot == slot)
+                || frames.iter().any(|f| f.slot == slot)
             {
                 continue;
             }
             if let Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                ..
+                offset, frame_len, ..
             } = inner.slots[slot]
             {
-                picks.push((
-                    shard,
-                    FrameAt {
-                        slot,
-                        offset,
-                        frame_len,
-                    },
-                ));
+                frames.push(FrameAt {
+                    slot,
+                    offset,
+                    frame_len,
+                });
             }
         }
-        if picks.is_empty() {
+        if frames.is_empty() {
             return;
         }
-        // Split per shard, snapshotting each shard's handle under the
-        // same lock as the offsets: a later compaction swaps in a new
-        // segment file, but these clones keep addressing the inodes the
-        // offsets were taken from.
-        picks.sort_unstable_by_key(|&(shard, f)| (shard, f.offset));
-        let mut queued = 0usize;
-        let mut start = 0usize;
-        while start < picks.len() {
-            let shard = picks[start].0;
-            let end = start
-                + picks[start..]
-                    .iter()
-                    .take_while(|(s, _)| *s == shard)
-                    .count();
-            if let Ok(file) = inner.shards[shard as usize].file.try_clone() {
-                let frames: Vec<FrameAt> = picks[start..end].iter().map(|&(_, f)| f).collect();
-                for f in &frames {
-                    inner.pending.insert(f.slot);
-                }
-                inner
-                    .fetch_jobs
-                    .push_back(FetchJob::Frames { file, frames });
-                queued += 1;
-            }
-            start = end;
+        // Snapshot the segment handle under the same lock as the offsets:
+        // a later compaction swaps in a new segment file, but this clone
+        // keeps addressing the inode the offsets were taken from.
+        let Ok(file) = inner.seg.file.try_clone() else {
+            return;
+        };
+        for f in &frames {
+            inner.pending.insert(f.slot);
         }
+        inner
+            .fetch_jobs
+            .push_back(FetchJob::Frames { file, frames });
         drop(inner);
-        for _ in 0..queued {
-            self.shared.fetch_work.notify_one();
-        }
+        self.shared.fetch_work.notify_one();
     }
 
     fn fetch_ranges(
@@ -1615,7 +1286,6 @@ impl BlockStore for SpillStore {
             return Ok(None);
         }
         let Slot::Spilled {
-            shard,
             offset,
             frame_len,
             payload_len,
@@ -1623,7 +1293,6 @@ impl BlockStore for SpillStore {
         else {
             return Ok(None);
         };
-        inner.policy.note_access(slot);
         // Serve from a staged byte-range read when it covers the request
         // (one-shot, like the block staging buffer).
         if let Some(staged) = inner.staged_ranges.remove(&slot) {
@@ -1649,7 +1318,7 @@ impl BlockStore for SpillStore {
         }
         let header_len = (frame_len - payload_len) as usize;
         let t = Instant::now();
-        let file = &inner.shards[shard as usize].file;
+        let file = &inner.seg.file;
         // Fold the frame header and (hinted) index prefix into one read.
         let hint = prefix_hint.min(payload_len as usize);
         let mut head = vec![0u8; header_len + hint];
@@ -1701,11 +1370,8 @@ impl BlockStore for SpillStore {
     }
 
     /// Stage byte-range reads for the hinted segment runs on the
-    /// background fetchers (see [`BlockStore::prefetch_ranges`]).
+    /// background fetcher (see [`BlockStore::prefetch_ranges`]).
     fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
-        if !self.prefetch_on {
-            return;
-        }
         let mut inner = self.shared.lock();
         let mut queued = 0usize;
         for (slot, segs) in hints {
@@ -1719,7 +1385,6 @@ impl BlockStore for SpillStore {
                 continue;
             }
             let Slot::Spilled {
-                shard,
                 offset,
                 frame_len,
                 payload_len,
@@ -1727,7 +1392,7 @@ impl BlockStore for SpillStore {
             else {
                 continue;
             };
-            let Ok(file) = inner.shards[shard as usize].file.try_clone() else {
+            let Ok(file) = inner.seg.file.try_clone() else {
                 continue;
             };
             inner.pending.insert(*slot);
@@ -1747,14 +1412,6 @@ impl BlockStore for SpillStore {
         for _ in 0..queued {
             self.shared.fetch_work.notify_one();
         }
-    }
-
-    fn plan_accesses(&self, upcoming: &[usize]) {
-        self.shared.lock().policy.note_plan(upcoming);
-    }
-
-    fn wants_plan(&self) -> bool {
-        self.eviction == Eviction::PlannedMin
     }
 
     fn flush(&self) -> Result<(), SimError> {
@@ -1789,42 +1446,38 @@ impl BlockStore for SpillStore {
 }
 
 /// Read and decode a set of spilled frames, coalescing segment-adjacent
-/// ones (within the same shard) into single contiguous positional reads —
-/// the one copy of the sort/run/decode logic shared by the foreground
-/// (`fetch_many`, blocking) and the background fetcher (`run_fetcher`,
-/// overlapped). `files` is indexed by shard; `reads` entries are
-/// `(key, shard, offset, frame_len)`; the input is sorted in place by
-/// `(shard, offset)` and one `(key, frame_len, outcome)` is returned per
+/// ones into single contiguous positional reads — the one copy of the
+/// sort/run/decode logic shared by the foreground (`fetch_many`,
+/// blocking) and the background fetcher (`run_fetcher`, overlapped).
+/// `reads` entries are `(key, offset, frame_len)`; the input is sorted in
+/// place by offset and one `(key, frame_len, outcome)` is returned per
 /// entry.
 fn read_frame_runs<K: Copy>(
-    files: &[&File],
-    reads: &mut [(K, u32, u64, u32)],
+    file: &File,
+    reads: &mut [(K, u64, u32)],
 ) -> Vec<(K, u32, Result<CompressedBlock, SimError>)> {
-    reads.sort_unstable_by_key(|&(_, shard, offset, _)| (shard, offset));
+    reads.sort_unstable_by_key(|&(_, offset, _)| offset);
     let mut out = Vec::with_capacity(reads.len());
     let mut start = 0usize;
     while start < reads.len() {
-        // Extend the run while frames are segment-adjacent in one shard.
+        // Extend the run while frames are segment-adjacent.
         let mut end = start + 1;
-        let mut run_len = reads[start].3 as usize;
-        while end < reads.len()
-            && reads[end].1 == reads[end - 1].1
-            && reads[end].2 == reads[end - 1].2 + reads[end - 1].3 as u64
-        {
-            run_len += reads[end].3 as usize;
+        let mut run_len = reads[start].2 as usize;
+        while end < reads.len() && reads[end].1 == reads[end - 1].1 + reads[end - 1].2 as u64 {
+            run_len += reads[end].2 as usize;
             end += 1;
         }
         let mut buf = vec![0u8; run_len];
-        match files[reads[start].1 as usize].read_exact_at(&mut buf, reads[start].2) {
+        match file.read_exact_at(&mut buf, reads[start].1) {
             Err(e) => {
                 let msg = format!("read spill run: {e}");
-                for &(k, _, _, frame_len) in &reads[start..end] {
+                for &(k, _, frame_len) in &reads[start..end] {
                     out.push((k, frame_len, Err(SimError::Spill(msg.clone()))));
                 }
             }
             Ok(()) => {
                 let mut pos = 0usize;
-                for &(k, _, _, frame_len) in &reads[start..end] {
+                for &(k, _, frame_len) in &reads[start..end] {
                     let res = frame::read_frame(&mut &buf[pos..pos + frame_len as usize])
                         .map(|f| CompressedBlock {
                             codec: f.codec,
@@ -1881,11 +1534,9 @@ fn read_segment_run(file: &File, req: &RangeJob) -> Option<RangeFetch> {
     })
 }
 
-/// Body of one of a [`SpillStore`]'s background fetch threads: claim
-/// prefetch jobs (each confined to one shard, so N fetchers read N
-/// shards concurrently), read their frames through [`read_frame_runs`]
-/// or their segment runs through [`read_segment_run`], and stage the
-/// results. Read time lands in [`Phase::Prefetch`] — off the critical
+/// Body of a [`SpillStore`]'s background fetch thread: claim prefetch
+/// jobs, read their frames through [`read_frame_runs`] or their segment
+/// runs through [`read_segment_run`], and stage the results. Read time lands in [`Phase::Prefetch`] — off the critical
 /// path. A frame that fails to read or decode is simply not staged; the
 /// foreground's blocking fetch retries and surfaces the error. Queued
 /// jobs are drained even after shutdown so reserved `pending` marks
@@ -1908,13 +1559,12 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
         drop(inner);
         match job {
             FetchJob::Frames { file, frames } => {
-                // Single-shard job: shard key 0 against the one handle.
-                let mut reads: Vec<(usize, u32, u64, u32)> = frames
+                let mut reads: Vec<(usize, u64, u32)> = frames
                     .iter()
-                    .map(|f| (f.slot, 0, f.offset, f.frame_len))
+                    .map(|f| (f.slot, f.offset, f.frame_len))
                     .collect();
                 let t = Instant::now();
-                let decoded = read_frame_runs(&[&file], &mut reads);
+                let decoded = read_frame_runs(&file, &mut reads);
                 metrics.add(Phase::Prefetch, t.elapsed());
                 let mut inner = shared.lock();
                 for (slot, _, blk) in decoded {
@@ -1949,35 +1599,34 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
     }
 }
 
-/// Body of one of a [`SpillStore`]'s background write-behind threads.
+/// Body of a [`SpillStore`]'s background write-behind thread.
 ///
-/// Each writer claims one run at a time under the lock: at most a
-/// residency budget of queued dirty blocks, the next shard in rotation,
-/// and — the key to concurrency — the exact byte extent the run's frames
-/// will occupy in that shard (computable up front because
+/// The writer claims one run at a time under the lock: every queued
+/// dirty block, plus the exact byte extent the run's frames will occupy
+/// at the end of the segment (computable up front because
 /// [`frame::encoded_len_of`] is exact). The run is then encoded into one
-/// buffer and landed with a single positional write *outside* the lock,
-/// so N writers append to disjoint extents of independently chosen
-/// shards in parallel. Append time lands in [`Phase::WriteBehind`] — off
-/// the critical path.
+/// buffer and landed with a single positional write *outside* the lock;
+/// a synchronous fallback append meanwhile goes past the reserved
+/// extent. Append time lands in [`Phase::WriteBehind`] — off the
+/// critical path.
 ///
 /// A failed run re-queues its blocks (still safe in memory), marks its
 /// reserved extent dead, and records a deferred error for the next
-/// `take`/`flush` to surface; writers then idle until the error is
-/// consumed. A writer exiting — normally or by panic — decrements the
-/// alive count and wakes all waiters, so barriers fall back to
-/// synchronous draining once no writer remains.
+/// `take`/`flush` to surface; the writer then idles until the error is
+/// consumed. The writer exiting — normally or by panic — clears the
+/// alive flag and wakes all waiters, so barriers fall back to
+/// synchronous draining.
 fn run_writer(shared: &Shared, metrics: &Metrics) {
     struct AliveGuard<'a>(&'a Shared);
     impl Drop for AliveGuard<'_> {
         fn drop(&mut self) {
             let mut inner = self.0.lock();
-            inner.writers_alive -= 1;
+            inner.writer_alive = false;
             drop(inner);
             self.0.resolved.notify_all();
         }
     }
-    /// Decrements `writers_busy` even when the write unwinds, so flush
+    /// Clears `writer_busy` even when the write unwinds, so flush
     /// barriers never wait on a dead writer's claim.
     struct BusyGuard<'a> {
         shared: &'a Shared,
@@ -1987,7 +1636,7 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         fn drop(&mut self) {
             if self.armed {
                 let mut inner = self.shared.lock();
-                inner.writers_busy -= 1;
+                inner.writer_busy = false;
                 drop(inner);
                 self.shared.resolved.notify_all();
             }
@@ -1997,7 +1646,7 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
     loop {
         let mut inner = shared.lock();
         // Park until there is drainable work. An unsurfaced failure
-        // parks the writers (the data sits safely in the dirty buffer
+        // parks the writer (the data sits safely in the dirty buffer
         // until take/flush reports the error); shutdown triggers one
         // final drain of whatever is queued, so a dropping store's
         // barrier still observes durable frames.
@@ -2010,14 +1659,9 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         if inner.shutdown && (inner.dirty_queue.is_empty() || inner.write_error.is_some()) {
             return;
         }
-        // Claim a run: snapshot at most a residency budget of queued
-        // blocks for the next shard in rotation (consecutive runs land
-        // on distinct directories; a longer backlog drains as several
-        // runs, claimed by whichever writers are free).
-        let n = inner.dirty_queue.len().min(inner.run_cap);
-        let run: Vec<usize> = inner.dirty_queue.drain(..n).collect();
-        let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-        inner.spill_seq += 1;
+        // Claim the whole queue as one run (the enqueue side bounds it
+        // at a residency budget).
+        let run: Vec<usize> = inner.dirty_queue.drain(..).collect();
         // (slot, generation, block copy): the block stays in the slot so
         // foreground fetches keep hitting memory while we write.
         let blks: Vec<(usize, u64, CompressedBlock)> = run
@@ -2031,10 +1675,10 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
             continue;
         }
         let fault = inner.fault.clone();
-        let file = match inner.shards[shard_idx].file.try_clone() {
+        let file = match inner.seg.file.try_clone() {
             Ok(f) => f,
             Err(e) => {
-                inner.write_error = Some(format!("clone shard handle: {e}"));
+                inner.write_error = Some(format!("clone segment handle: {e}"));
                 for &slot in run.iter().rev() {
                     if matches!(inner.slots[slot], Slot::Dirty { .. }) {
                         inner.dirty_queue.push_front(slot);
@@ -2045,16 +1689,15 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
                 continue;
             }
         };
-        // Reserve the run's exact extent: concurrent writers append to
-        // disjoint byte ranges, and sync appends go past every claim.
-        let base = inner.shards[shard_idx].end;
+        // Reserve the run's exact extent: synchronous appends go past it.
+        let base = inner.seg.end;
         let total: u64 = blks
             .iter()
             .map(|(_, _, b)| frame::encoded_len_of(&b.bytes) as u64)
             .sum();
-        inner.shards[shard_idx].end = base + total;
-        inner.writers_busy += 1;
-        let mut buf = inner.wb_bufs.pop().unwrap_or_default();
+        inner.seg.end = base + total;
+        inner.writer_busy = true;
+        let mut buf = std::mem::take(&mut inner.wb_buf);
         drop(inner);
         let mut busy = BusyGuard {
             shared,
@@ -2103,11 +1746,9 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         metrics.add(Phase::WriteBehind, t.elapsed());
 
         let mut inner = shared.lock();
-        inner.writers_busy -= 1;
-        if inner.wb_bufs.len() < MAX_IO_THREADS {
-            buf.clear();
-            inner.wb_bufs.push(buf);
-        }
+        inner.writer_busy = false;
+        buf.clear();
+        inner.wb_buf = buf;
         busy.armed = false;
         // Commit the landed run: adopt frames whose slot is still dirty
         // at the same generation; anything re-taken (or re-evicted at a
@@ -2119,7 +1760,6 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
                 let blk = match std::mem::replace(
                     &mut inner.slots[slot],
                     Slot::Spilled {
-                        shard: shard_idx as u32,
                         offset,
                         frame_len,
                         payload_len: 0,
@@ -2133,16 +1773,16 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
                 }
                 inner.dirty_bytes -= blk.len() as u64;
                 inner.spilled_payload_bytes += blk.len() as u64;
-                inner.shards[shard_idx].live += frame_len as u64;
+                inner.seg.live += frame_len as u64;
                 metrics.add_spill_write_behind(frame_len as u64);
                 committed.insert(slot);
             } else {
-                inner.shards[shard_idx].dead += frame_len as u64;
+                inner.seg.dead += frame_len as u64;
             }
         }
         if let Err(msg) = result {
             // The whole reserved extent is dead (nothing durable in it).
-            inner.shards[shard_idx].dead += total;
+            inner.seg.dead += total;
             inner.write_error.get_or_insert(msg);
             // Re-queue the run (front, preserving order): the blocks are
             // still in memory, nothing is lost.
@@ -2162,23 +1802,17 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        // Shutdown ends every background thread: fetchers drain their
-        // queued jobs (resolving all pending marks), writers do one
-        // final drain (the drop barrier), and all are joined before
-        // deleting the segments so no background I/O races the unlink.
+        // Shutdown ends both background threads: the fetcher drains its
+        // queued jobs (resolving all pending marks), the writer does one
+        // final drain (the drop barrier), and both are joined before
+        // deleting the segment so no background I/O races the unlink.
         self.shared.lock().shutdown = true;
         self.shared.fetch_work.notify_all();
         self.shared.write_work.notify_all();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
-        let inner = self.shared.lock();
-        for shard in &inner.shards {
-            let _ = std::fs::remove_file(&shard.path);
-            if let Some(dir) = &shard.dir {
-                let _ = std::fs::remove_dir(dir);
-            }
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -2269,16 +1903,6 @@ pub(crate) mod trace {
 
         fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
             self.inner.prefetch_ranges(hints);
-        }
-
-        // Plan windows are advisory, like prefetch hints: forwarded to the
-        // wrapped store but *not* recorded in the access log.
-        fn plan_accesses(&self, upcoming: &[usize]) {
-            self.inner.plan_accesses(upcoming);
-        }
-
-        fn wants_plan(&self) -> bool {
-            self.inner.wants_plan()
         }
 
         fn flush(&self) -> Result<(), SimError> {
@@ -2395,6 +2019,94 @@ mod tests {
     }
 
     #[test]
+    fn lru_victim_is_the_oldest_resident() {
+        let resident = |stamp| Slot::Resident {
+            blk: blk(0, 4),
+            stamp,
+        };
+        assert_eq!(lru_victim(&[]), None);
+        // Only in-flight, dirty and spilled slots: nothing to evict.
+        let cold = [
+            Slot::InFlight,
+            Slot::Dirty {
+                blk: blk(1, 4),
+                gen: 1,
+            },
+            Slot::Spilled {
+                offset: 0,
+                frame_len: 8,
+                payload_len: 4,
+            },
+        ];
+        assert_eq!(lru_victim(&cold), None);
+        // The lowest stamp wins wherever it sits; non-residents are
+        // skipped even next to it.
+        let slots = [
+            resident(9),
+            Slot::InFlight,
+            resident(3),
+            Slot::Dirty {
+                blk: blk(2, 4),
+                gen: 1,
+            },
+            resident(7),
+        ];
+        assert_eq!(lru_victim(&slots), Some(2));
+        assert_eq!(lru_victim(&slots[3..]), Some(1));
+    }
+
+    proptest::proptest! {
+        // Replaying any take/put/peek trace against a `cap`-slot store,
+        // the spill and fetch counters match a reference LRU cache that
+        // evicts the least recently put or peeked resident.
+        #[test]
+        fn eviction_matches_reference_lru_on_random_traces(
+            ops in proptest::collection::vec((0usize..8, 0u8..2), 1..48),
+            cap in 1usize..4,
+        ) {
+            let n = 8usize;
+            let metrics = Metrics::new();
+            let s = spill_store("lru-trace", cap, n, &metrics);
+            // Reference model: resident slot -> last-touch stamp.
+            let mut resident: HashMap<usize, u64> = HashMap::new();
+            let (mut clock, mut spills, mut fetches) = (0u64, 0u64, 0u64);
+            let mut put = |slot: usize, resident: &mut HashMap<usize, u64>, clock: &mut u64| {
+                *clock += 1;
+                resident.insert(slot, *clock);
+                if resident.len() > cap {
+                    let (&victim, _) = resident.iter().min_by_key(|(_, &t)| t).unwrap();
+                    resident.remove(&victim);
+                    spills += 1;
+                }
+            };
+            for slot in 0..n {
+                put(slot, &mut resident, &mut clock);
+            }
+            for (slot, kind) in ops {
+                if kind == 0 {
+                    let b = s.take(slot).unwrap();
+                    proptest::prop_assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
+                    s.put(slot, b).unwrap();
+                    if resident.remove(&slot).is_none() {
+                        fetches += 1;
+                    }
+                    put(slot, &mut resident, &mut clock);
+                } else {
+                    let b = s.peek(slot).unwrap();
+                    proptest::prop_assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
+                    clock += 1;
+                    match resident.get_mut(&slot) {
+                        Some(t) => *t = clock,
+                        None => fetches += 1,
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(metrics.spills(), spills);
+            proptest::prop_assert_eq!(metrics.fetches(), fetches);
+        }
+    }
+
+    #[test]
     fn spill_store_compacts_garbage() {
         let metrics = Metrics::new();
         let n = 6;
@@ -2455,17 +2167,12 @@ mod tests {
     fn prefetch_stages_and_fetches_hit_overlapped() {
         let metrics = Metrics::new();
         let n = 6usize;
-        let s = SpillStore::create_with(
+        let s = SpillStore::create(
             &tmp_dir("prefetch"),
             "r0",
             2,
             metrics.clone(),
             (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                prefetch: true,
-                dir_guard: None,
-                ..Default::default()
-            },
         )
         .unwrap();
         // Slots 0..=3 are spilled (cap 2 keeps only the last two puts).
@@ -2504,17 +2211,12 @@ mod tests {
         let metrics = Metrics::new();
         let n = 12usize;
         let cap = 3usize;
-        let s = SpillStore::create_with(
+        let s = SpillStore::create(
             &tmp_dir("prefetch-budget"),
             "r0",
             cap,
             metrics.clone(),
             (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                prefetch: true,
-                dir_guard: None,
-                ..Default::default()
-            },
         )
         .unwrap();
         // Hint far more spilled slots than the budget: at most `cap` may
@@ -2548,7 +2250,6 @@ mod tests {
                 metrics,
                 (0..4).map(|i| Some(blk(i as u8, 64))).collect(),
                 SpillOptions {
-                    prefetch: true,
                     dir_guard: Some(thread_guard),
                     ..Default::default()
                 },
@@ -2624,6 +2325,108 @@ mod tests {
     }
 
     #[test]
+    fn one_segment_round_trips_and_cleans_up() {
+        let metrics = Metrics::new();
+        let n = 10usize;
+        let dir = tmp_dir("one-segment");
+        let s = spill_store("one-segment", 2, n, &metrics);
+        // Every eviction landed in the one segment file of the directory.
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .collect();
+        assert_eq!(files, vec![s.segment_path().to_path_buf()]);
+        let seg_len = std::fs::metadata(s.segment_path()).unwrap().len();
+        assert_eq!(seg_len, s.shared.lock().seg.end);
+        assert_eq!(metrics.spills(), (n - 2) as u64);
+        // A batched fetch of every spilled slot coalesces and round-trips.
+        let slots: Vec<usize> = (0..n - 2).collect();
+        let blocks = s.fetch_many(&slots).unwrap();
+        for (&slot, b) in slots.iter().zip(&blocks) {
+            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
+        }
+        for (&slot, b) in slots.iter().zip(blocks) {
+            s.put(slot, b).unwrap();
+        }
+        for i in 0..n {
+            assert_eq!(
+                &s.peek(i).unwrap().bytes[..],
+                &blk(i as u8, 64 + i).bytes[..]
+            );
+        }
+        let path = s.segment_path().to_path_buf();
+        drop(s);
+        assert!(!path.exists(), "segment survived the drop");
+    }
+
+    #[test]
+    fn io_threads_are_one_fetcher_plus_optional_writer() {
+        for write_behind in [false, true] {
+            let s = SpillStore::create_with(
+                &tmp_dir("io-threads"),
+                "r0",
+                2,
+                Metrics::new(),
+                (0..4).map(|i| Some(blk(i as u8, 64))).collect(),
+                SpillOptions {
+                    write_behind,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(s.io_threads.len(), 1 + write_behind as usize);
+            s.flush_dirty().unwrap();
+        }
+    }
+
+    #[test]
+    fn write_behind_and_sync_spill_the_same_frames() {
+        // The same seed under both write modes: once the dirty queue is
+        // drained, the writer's coalesced runs hold exactly the frames
+        // the synchronous path appended one by one.
+        let n = 9usize;
+        let layout = |write_behind: bool| {
+            let metrics = Metrics::new();
+            let s = SpillStore::create_with(
+                &tmp_dir("wb-vs-sync"),
+                "r0",
+                3,
+                metrics.clone(),
+                (0..n).map(|i| Some(blk(i as u8, 64 + 3 * i))).collect(),
+                SpillOptions {
+                    write_behind,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            s.flush_dirty().unwrap();
+            let inner = s.shared.lock();
+            let spilled: Vec<(usize, u32)> = inner
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| match slot {
+                    Slot::Spilled { frame_len, .. } => Some((i, *frame_len)),
+                    _ => None,
+                })
+                .collect();
+            let out = (spilled, inner.seg.live, inner.seg.end, metrics.spills());
+            drop(inner);
+            for i in 0..n {
+                assert_eq!(
+                    &s.peek(i).unwrap().bytes[..],
+                    &blk(i as u8, 64 + 3 * i).bytes[..]
+                );
+            }
+            out
+        };
+        let (sync, wb) = (layout(false), layout(true));
+        assert_eq!(sync.0.len(), n - 3, "all but the budget spilled");
+        assert_eq!(sync, wb);
+    }
+
+    #[test]
     fn spill_store_detects_segment_corruption() {
         let metrics = Metrics::new();
         let s = spill_store("corrupt", 1, 3, &metrics);
@@ -2638,106 +2441,6 @@ mod tests {
         // instead: at least one of the spilled fetches must fail.
         let failures = (0..2).filter(|&i| s.peek(i).is_err()).count();
         assert!(failures >= 1, "corruption went unnoticed");
-    }
-
-    #[test]
-    fn planned_min_prefers_furthest_next_use() {
-        let mut p = PlannedMin::default();
-        // Plan: 0 1 2 0 1. Residents (slot, stamp): 0, 1, 2 — slot 2 has
-        // no use after its first, slot 0 recurs soonest.
-        p.note_plan(&[0, 1, 2, 0, 1]);
-        // Consume the first round so the window is the `0 1` tail.
-        p.note_access(0);
-        p.note_access(1);
-        p.note_access(2);
-        let residents = [(0usize, 10u64), (1, 11), (2, 12)];
-        // Slot 2 is never used again: the unique MIN victim.
-        assert_eq!(p.pick_victim(&residents), Some(2));
-        // Without slot 2, slot 1's next use (pos 4) is after slot 0's
-        // (pos 3).
-        assert_eq!(p.pick_victim(&residents[..2]), Some(1));
-    }
-
-    #[test]
-    fn planned_min_empty_window_is_lru() {
-        let mut p = PlannedMin::default();
-        let residents = [(3usize, 7u64), (1, 2), (4, 9)];
-        assert_eq!(p.pick_victim(&residents), lru_victim(&residents));
-        assert_eq!(p.pick_victim(&residents), Some(1));
-        // A fully consumed window degrades the same way.
-        p.note_plan(&[3, 1]);
-        p.note_access(3);
-        p.note_access(1);
-        assert_eq!(p.pick_victim(&residents), Some(1));
-    }
-
-    /// Ground-truth next use of `slot` in `seq[from..]`.
-    fn next_use_in(seq: &[usize], from: usize, slot: usize) -> Option<usize> {
-        seq[from..].iter().position(|&s| s == slot)
-    }
-
-    proptest::proptest! {
-        // Satellite: MIN optimality on the plan window. Replaying any
-        // recorded access sequence against a `cap`-slot cache, the
-        // policy never evicts a block that is re-touched before some
-        // other resident block's next use.
-        #[test]
-        fn planned_min_is_optimal_on_recorded_traces(
-            seq in proptest::collection::vec(0usize..8, 1..48),
-            cap in 1usize..4,
-        ) {
-            let mut p = PlannedMin::default();
-            p.note_plan(&seq);
-            let mut residents: Vec<(usize, u64)> = Vec::new();
-            let mut stamp = 0u64;
-            for (t, &slot) in seq.iter().enumerate() {
-                p.note_access(slot);
-                stamp += 1;
-                if let Some(r) = residents.iter_mut().find(|r| r.0 == slot) {
-                    r.1 = stamp;
-                    continue;
-                }
-                if residents.len() == cap {
-                    let v = p.pick_victim(&residents).unwrap();
-                    // None = never used again = usize::MAX distance.
-                    let dist = |s: usize| {
-                        next_use_in(&seq, t + 1, s).unwrap_or(usize::MAX)
-                    };
-                    for &(r, _) in &residents {
-                        proptest::prop_assert!(
-                            dist(v) >= dist(r),
-                            "evicted slot {v} (next use {:?}) before slot {r} \
-                             (next use {:?}) at step {t} of {seq:?}",
-                            next_use_in(&seq, t + 1, v),
-                            next_use_in(&seq, t + 1, r),
-                        );
-                    }
-                    residents.retain(|r| r.0 != v);
-                }
-                residents.push((slot, stamp));
-            }
-        }
-
-        // Satellite: with no plan window at all, `PlannedMin` reproduces
-        // exact LRU ordering on every resident set.
-        #[test]
-        fn planned_min_without_plan_degrades_to_lru(
-            entries in proptest::collection::vec((0usize..64, 0u64..1_000), 1..12),
-        ) {
-            // Unique slots and stamps (pick_victim's contract).
-            let mut seen = HashSet::new();
-            let residents: Vec<(usize, u64)> = entries
-                .into_iter()
-                .enumerate()
-                .filter(|(_, (slot, _))| seen.insert(*slot))
-                .map(|(i, (slot, stamp))| (slot, stamp * 16 + i as u64))
-                .collect();
-            let mut p = PlannedMin::default();
-            proptest::prop_assert_eq!(
-                p.pick_victim(&residents),
-                lru_victim(&residents)
-            );
-        }
     }
 
     #[test]
@@ -2859,7 +2562,6 @@ mod tests {
             SpillOptions {
                 write_behind: true,
                 dir_guard: Some(Arc::clone(&guard)),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -2886,59 +2588,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_segments_round_trip_and_clean_up() {
-        let metrics = Metrics::new();
-        let n = 10usize;
-        let dir = tmp_dir("shards");
-        let s = SpillStore::create_with(
-            &dir,
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                shards: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Three shard directories, each holding one segment file.
-        let shard_dirs: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_dir())
-            .collect();
-        assert_eq!(shard_dirs.len(), 3);
-        // Evictions rotate across shards: every shard received frames.
-        for d in &shard_dirs {
-            let seg = d.path().join("seg");
-            assert!(std::fs::metadata(&seg).unwrap().len() > 0, "{seg:?} empty");
-        }
-        // Batched fetches coalesce per shard and round-trip intact.
-        let slots: Vec<usize> = (0..n - 2).collect();
-        let blocks = s.fetch_many(&slots).unwrap();
-        for (&slot, b) in slots.iter().zip(&blocks) {
-            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
-        }
-        for (&slot, b) in slots.iter().zip(blocks) {
-            s.put(slot, b).unwrap();
-        }
-        for i in 0..n {
-            assert_eq!(
-                &s.peek(i).unwrap().bytes[..],
-                &blk(i as u8, 64 + i).bytes[..]
-            );
-        }
-        drop(s);
-        assert_eq!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
-            0,
-            "shard directories survived the drop"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn resident_bytes_counts_staging_and_dirty_buffers() {
         // Satellite: the honest-footprint accounting — blocks parked in
         // the prefetch staging buffer and the write-behind dirty buffer
@@ -2952,7 +2601,6 @@ mod tests {
             metrics.clone(),
             (0..n).map(|i| Some(blk(i as u8, 1024))).collect(),
             SpillOptions {
-                prefetch: true,
                 write_behind: true,
                 ..Default::default()
             },
@@ -3061,43 +2709,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_behind_runs_rotate_across_shards() {
-        let metrics = Metrics::new();
-        let n = 10usize;
-        let dir = tmp_dir("wb-shards");
-        let s = SpillStore::create_with(
-            &dir,
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                write_behind: true,
-                shards: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        // Eight evictions drained in runs capped at the residency budget
-        // (2): at least four runs, so rotation must have reached every
-        // shard — not one shard swallowing the whole backlog.
-        {
-            let inner = s.shared.lock();
-            for (k, shard) in inner.shards.iter().enumerate() {
-                assert!(shard.end > 0, "shard {k} never received a run");
-            }
-        }
-        let slots: Vec<usize> = (0..n).collect();
-        let blocks = s.fetch_many(&slots).unwrap();
-        for (&slot, b) in slots.iter().zip(&blocks) {
-            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
-        }
-        drop(s);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A segmented Solution C payload of `n_values` amplitudes (several
     /// segments at the default segment size when `n_values > 1024`).
     fn seg_payload(n_values: usize) -> Vec<u8> {
@@ -3173,16 +2784,12 @@ mod tests {
     fn prefetch_ranges_stages_byte_runs() {
         let metrics = Metrics::new();
         let payload = seg_payload(3000);
-        let s = SpillStore::create_with(
+        let s = SpillStore::create(
             &tmp_dir("prefetch-ranges"),
             "r0",
             1,
             metrics.clone(),
             (0..3).map(|_| Some(seg_blk(&payload))).collect(),
-            SpillOptions {
-                prefetch: true,
-                ..Default::default()
-            },
         )
         .unwrap();
         let resident_before = s.resident_bytes();

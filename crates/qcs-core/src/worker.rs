@@ -131,7 +131,7 @@ pub(crate) type BlockMsg = (usize, CompressedBlock);
 /// The next wave's first planned block slots for this rank, handed down
 /// by the facade from the schedule's `AccessPlan` so a wave's last chunk
 /// can prefetch across the wave boundary. `None` when the run is not
-/// planned (no schedule, prefetch off, or an unplanned wave follows).
+/// planned (no schedule, no spill tier, or an unplanned wave follows).
 pub(crate) type Lookahead = Option<Arc<Vec<usize>>>;
 
 /// One (possibly controlled) single-qubit gate wave, pre-routed by the
@@ -231,8 +231,6 @@ pub(crate) enum WorkerCmd {
 pub(crate) struct WaveOut {
     /// A lossy recompression happened on this rank.
     pub lossy: bool,
-    /// Bytes this rank moved across exchange links (leader-side count).
-    pub comm_bytes: u64,
     /// Total compressed bytes owned by this rank after the wave (resident
     /// plus spilled).
     pub compressed_bytes: u64,
@@ -411,10 +409,9 @@ impl RankWorker {
         }
     }
 
-    fn wave_out(&self, lossy: bool, comm_bytes: u64) -> WaveOut {
+    fn wave_out(&self, lossy: bool) -> WaveOut {
         WaveOut {
             lossy,
-            comm_bytes,
             compressed_bytes: self.store.compressed_bytes(),
             resident_bytes: self.store.resident_bytes(),
             hot_bytes: self.store.hot_bytes(),
@@ -432,26 +429,6 @@ impl RankWorker {
             .resident_cap()
             .unwrap_or_else(|| self.layout.blocks_per_rank())
             .max(1)
-    }
-
-    /// Announce a wave's ordered slot accesses — the wave's own planned
-    /// order with the next wave's `AccessPlan` lookahead appended — to a
-    /// plan-consuming store (Belady MIN keys eviction on the window).
-    /// Skipped entirely when the store ignores plans, so LRU and
-    /// all-resident runs build no window.
-    fn announce_plan(&self, wave_slots: &[usize], lookahead: Option<&[usize]>) {
-        if !self.store.wants_plan() {
-            return;
-        }
-        match lookahead {
-            Some(next) if !next.is_empty() => {
-                let mut window = Vec::with_capacity(wave_slots.len() + next.len());
-                window.extend_from_slice(wave_slots);
-                window.extend_from_slice(next);
-                self.store.plan_accesses(&window);
-            }
-            _ => self.store.plan_accesses(wave_slots),
-        }
     }
 
     /// Read-only commands, answerable through `&self` (the facade calls
@@ -486,7 +463,7 @@ impl RankWorker {
 
     fn apply_gate(&mut self, cmd: &GateCmd) -> Result<WaveOut, SimError> {
         if !self.selected(cmd.rank_cmask) {
-            return Ok(self.wave_out(false, 0));
+            return Ok(self.wave_out(false));
         }
         let bpr = self.layout.blocks_per_rank();
         let block_ok = |b: usize| b & cmd.block_cmask == cmd.block_cmask;
@@ -538,13 +515,6 @@ impl RankWorker {
             }
         };
         let lookahead = cmd.lookahead.as_ref().map(|v| v.as_slice());
-        if self.store.wants_plan() {
-            let mut wave_slots = Vec::with_capacity(slots.len() * blocks_per_unit);
-            for unit in slots {
-                unit_slots(unit, &mut wave_slots);
-            }
-            self.announce_plan(&wave_slots, lookahead);
-        }
         let mut lossy = false;
         let mut cursor = PlanCursor::new(slots, chunk_len);
         while let Some(chunk) = cursor.next_chunk() {
@@ -619,7 +589,7 @@ impl RankWorker {
                 }
             }
         }
-        Ok(self.wave_out(lossy, 0))
+        Ok(self.wave_out(lossy))
     }
 
     /// Fold one unit's timings and touch counts into the shared metrics.
@@ -640,7 +610,7 @@ impl RankWorker {
 
     fn exchange(&mut self, mut cmd: ExchangeCmd) -> Result<WaveOut, SimError> {
         let out = match std::mem::replace(&mut cmd.role, ExchangeRole::Idle) {
-            ExchangeRole::Idle => Ok(self.wave_out(false, 0)),
+            ExchangeRole::Idle => Ok(self.wave_out(false)),
             ExchangeRole::Follow(link) => self.exchange_follow(&cmd, link),
             ExchangeRole::Lead(link) => self.exchange_lead(&cmd, link),
         };
@@ -671,7 +641,6 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel = self.selected_blocks(cmd.block_cmask);
-        self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
         // Stream in residency-budget chunks: each chunk is one coalesced
         // fetch, and the sent payloads live in the link's buffer (the MPI
         // send-buffer allowance) — the follower never materializes more
@@ -692,7 +661,7 @@ impl RankWorker {
         }
         // The wait above is overlap with the leader's compute; the leader
         // accounts the pair's communication time and bytes.
-        Ok(self.wave_out(false, 0))
+        Ok(self.wave_out(false))
     }
 
     /// Leader side: receive the partner's compressed block, pair it with
@@ -704,13 +673,11 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel = self.selected_blocks(cmd.block_cmask);
-        self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
         // The leader takes its own block once per received partner block:
         // stage them ahead so those takes ride the background fetcher
         // instead of blocking between pair updates.
         self.store.prefetch(&sel);
         let mut lossy = false;
-        let mut comm_bytes = 0u64;
         for &b in &sel {
             let t = Instant::now();
             let (pb, partner) = link
@@ -749,11 +716,10 @@ impl RankWorker {
             }
             self.metrics.add(Phase::Communication, t.elapsed());
             self.store.put(b, out.out_a)?;
-            comm_bytes += inbound + outbound;
             self.metrics.add_comm_bytes(inbound + outbound);
             self.metrics.add_exchange();
         }
-        Ok(self.wave_out(lossy, comm_bytes))
+        Ok(self.wave_out(lossy))
     }
 
     // --- batches ---------------------------------------------------------
@@ -778,10 +744,6 @@ impl RankWorker {
         let chunk_len = self.flight_budget();
         let unit_slots = |&(slot, _): &(usize, u64), out: &mut Vec<usize>| out.push(slot);
         let lookahead = cmd.lookahead.as_ref().map(|v| v.as_slice());
-        if self.store.wants_plan() {
-            let wave_slots: Vec<usize> = selections.iter().map(|&(slot, _)| slot).collect();
-            self.announce_plan(&wave_slots, lookahead);
-        }
         let mut lossy = false;
         let mut cursor = PlanCursor::new(&selections, chunk_len);
         while let Some(chunk) = cursor.next_chunk() {
@@ -830,7 +792,7 @@ impl RankWorker {
                 self.store.put(out.slot_a, out.out_a)?;
             }
         }
-        Ok(self.wave_out(lossy, 0))
+        Ok(self.wave_out(lossy))
     }
 
     // --- collectives ------------------------------------------------------
@@ -845,7 +807,6 @@ impl RankWorker {
     ) -> Result<(), SimError> {
         let bpr = self.layout.blocks_per_rank();
         let all: Vec<usize> = (0..bpr).collect();
-        self.announce_plan(&all, None);
         let mut cursor = PlanCursor::new(&all, self.flight_budget());
         while let Some(chunk) = cursor.next_chunk() {
             let fetched = self.store.fetch_many(chunk)?;
@@ -927,7 +888,7 @@ impl RankWorker {
             codec.put_amp_buf(buf);
             Ok(out)
         })?;
-        Ok(self.wave_out(bound.is_lossy(), 0))
+        Ok(self.wave_out(bound.is_lossy()))
     }
 
     fn recompress_all(&mut self, bound: ErrorBound) -> Result<WaveOut, SimError> {
@@ -939,7 +900,7 @@ impl RankWorker {
             codec.put_amp_buf(buf);
             Ok(out)
         })?;
-        Ok(self.wave_out(bound.is_lossy(), 0))
+        Ok(self.wave_out(bound.is_lossy()))
     }
 
     /// Map every local block through read-only `f` and collect the per-
@@ -954,7 +915,6 @@ impl RankWorker {
     ) -> Result<Vec<T>, SimError> {
         let bpr = self.layout.blocks_per_rank();
         let all: Vec<usize> = (0..bpr).collect();
-        self.announce_plan(&all, None);
         let mut out = Vec::with_capacity(bpr);
         let mut cursor = PlanCursor::new(&all, self.flight_budget());
         while let Some(chunk) = cursor.next_chunk() {
@@ -1041,8 +1001,6 @@ impl RankWorker {
             return Ok(None);
         };
         let bpr = self.layout.blocks_per_rank();
-        let all: Vec<usize> = (0..bpr).collect();
-        self.announce_plan(&all, None);
         let prefix_hint = SegmentIndex::prefix_len_for(block_f64s, seg_values);
         let sums = (0..bpr)
             .map(|b| {

@@ -1,9 +1,9 @@
-//! Concurrency stress for the sharded out-of-core tier: four worker
-//! threads hammer `take`/`put`/`fetch_many` on disjoint slot ranges of
-//! one 4-shard [`SpillStore`] (with prefetch *and* write-behind threads
-//! running) while a fifth thread floods the advisory surface —
-//! `prefetch`, `prefetch_ranges`, `plan_accesses` — across the whole
-//! store, including slots other threads are actively moving.
+//! Concurrency stress for the out-of-core tier: four worker threads
+//! hammer `take`/`put`/`fetch_many` on disjoint slot ranges of one
+//! [`SpillStore`] (with its prefetch *and* write-behind threads running)
+//! while a fifth thread floods the advisory surface — `prefetch` and
+//! `prefetch_ranges` — across the whole store, including slots other
+//! threads are actively moving.
 //!
 //! Contracts pinned:
 //! - no deadlock and no panic under contention (the test finishing at
@@ -22,7 +22,7 @@
 
 use qcs_cluster::Metrics;
 use qcs_compress::{CodecId, ErrorBound};
-use qcs_core::{BlockStore, CompressedBlock, Eviction, SegmentDirGuard, SpillOptions, SpillStore};
+use qcs_core::{BlockStore, CompressedBlock, SegmentDirGuard, SpillOptions, SpillStore};
 use std::sync::Arc;
 
 const SLOTS: usize = 64;
@@ -53,7 +53,7 @@ fn assert_is(slot: usize, version: usize, blk: &CompressedBlock) {
 }
 
 #[test]
-fn sharded_spill_store_survives_concurrent_hammering() {
+fn spill_store_survives_concurrent_hammering() {
     let parent = std::env::temp_dir().join(format!("qcs-spill-stress-{}", std::process::id()));
     let guard = SegmentDirGuard::create(&parent).expect("segment dir guard");
     let dir = guard.path().to_path_buf();
@@ -68,14 +68,11 @@ fn sharded_spill_store_survives_concurrent_hammering() {
             metrics.clone(),
             blocks,
             SpillOptions {
-                prefetch: true,
                 dir_guard: Some(guard),
-                eviction: Eviction::Lru,
                 write_behind: true,
-                shards: 4,
             },
         )
-        .expect("create sharded store"),
+        .expect("create spill store"),
     );
 
     let max_block = 48 + SLOTS; // largest payload in the store
@@ -120,7 +117,6 @@ fn sharded_spill_store_survives_concurrent_hammering() {
                     .map(|s| (s, (round % 3)..(round % 3 + 2)))
                     .collect();
                 store.prefetch_ranges(&hints);
-                store.plan_accesses(&all);
                 std::thread::yield_now();
             }
         })

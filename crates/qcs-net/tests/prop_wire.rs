@@ -121,14 +121,14 @@ fn arb_bound() -> impl Strategy<Value = ErrorBound> {
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
         (2u32..7, 0u32..3, 0usize..5, 0u64..3, 0usize..7, 0usize..3),
-        (0u8..2, 1usize..9, 0usize..9, 0u8..2, 0u8..2, 1usize..4),
-        (0u8..2, 0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
+        (0u8..2, 1usize..9, 0usize..9, 0u8..2),
+        (0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
     )
         .prop_map(
             |(
                 (block_log2, ranks_log2, threads_raw, mem_raw, codec_raw, cache_raw),
-                (fusion, max_batch, spill_raw, write_behind, planned_min, shards),
-                (prefetch, partial, remote_raw, attempts, timeout_raw, bound),
+                (fusion, max_batch, spill_raw, write_behind),
+                (partial, remote_raw, attempts, timeout_raw, bound),
             )| {
                 let mut cfg = SimConfig::default()
                     .with_block_log2(block_log2)
@@ -136,7 +136,6 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                     .with_fixed_bound(bound)
                     .with_fusion(fusion == 1)
                     .with_max_batch_gates(max_batch)
-                    .with_prefetch(prefetch == 1)
                     .with_partial_decode(partial == 1);
                 cfg.threads_per_rank = (threads_raw > 0).then_some(threads_raw);
                 cfg.memory_budget = (mem_raw > 0).then_some(mem_raw << 24);
@@ -145,10 +144,6 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                 if spill_raw > 0 {
                     let mut spill = SpillConfig::new(spill_raw);
                     spill.write_behind = write_behind == 1;
-                    spill.shards = shards;
-                    if planned_min == 1 {
-                        spill.eviction = qcs_core::Eviction::PlannedMin;
-                    }
                     if spill_raw % 2 == 0 {
                         spill.dir = Some(std::path::PathBuf::from(format!("spill-{spill_raw}")));
                     }

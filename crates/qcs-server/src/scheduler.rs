@@ -105,9 +105,9 @@ fn pow2_or_max(log2: u64) -> u64 {
 
 /// Compute a job's admission carve-out in bytes from its **normalized**
 /// config (spill always set by the server): an upper bound in the spirit
-/// of Eq. 8. Per rank, the resident compressed blocks — plus one staging
-/// buffer's worth with prefetch on and one dirty buffer's worth with
-/// write-behind on, both bounded by the residency budget — plus two
+/// of Eq. 8. Per rank, the resident compressed blocks — plus one
+/// prefetch staging buffer's worth and, with write-behind on, one dirty
+/// buffer's worth, both bounded by the residency budget — plus two
 /// uncompressed scratch blocks; compressed blocks are bounded above by
 /// their uncompressed size. Every step saturates, so un-admittable
 /// configs (`SimConfig::validate` enforces the real bounds upstream)
@@ -124,7 +124,7 @@ pub fn carve_bytes(cfg: &SimConfig, num_qubits: u32) -> u64 {
     let (resident, buffers) = match &cfg.spill {
         Some(spill) => {
             let resident = (spill.resident_blocks as u64).min(blocks_per_rank);
-            let buffers = 1 + cfg.prefetch as u64 + spill.write_behind as u64;
+            let buffers = 2 + spill.write_behind as u64;
             (resident, buffers)
         }
         None => (blocks_per_rank, 1),
@@ -605,6 +605,27 @@ mod tests {
         // Priority order: hi starts before b.
         assert_eq!(starts(&acts), vec![_hi]);
         let _ = b;
+    }
+
+    #[test]
+    fn spilled_carve_counts_resident_staging_and_dirty_buffers() {
+        // 20 qubits, 2^8-amp blocks (4 KiB), 2 ranks: 2^11 blocks a rank.
+        let base = SimConfig::default().with_block_log2(8).with_ranks_log2(1);
+        let block = 16u64 << 8;
+        let scratch = 2 * block;
+        assert_eq!(carve_bytes(&base, 20), 2 * ((1 << 11) * block + scratch));
+        // Spilling: the budget of residents plus one staging buffer of
+        // the same size, and a dirty buffer with write-behind.
+        let spilled = base.clone().with_spill(4);
+        assert_eq!(carve_bytes(&spilled, 20), 2 * (4 * 2 * block + scratch));
+        let wb = spilled.with_write_behind(true);
+        assert_eq!(carve_bytes(&wb, 20), 2 * (4 * 3 * block + scratch));
+        // A budget above the rank's block count is clamped to it.
+        let roomy = base.with_spill(1 << 20);
+        assert_eq!(
+            carve_bytes(&roomy, 20),
+            2 * ((1 << 11) * 2 * block + scratch)
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use qcs_statevec as statevec;
 
 pub use qcs_circuits::{Circuit, Op};
 pub use qcs_compress::{Codec, CodecId, ErrorBound};
-pub use qcs_core::{CompressedSimulator, Eviction, SimConfig, SimReport, SpillConfig};
+pub use qcs_core::{CompressedSimulator, SimConfig, SimReport, SpillConfig};
 pub use qcs_statevec::{Complex64, Gate1, GateKind, StateVector};
 
 /// Compiles and runs every Rust code block in `README.md` as a doctest,

@@ -1,28 +1,20 @@
-//! Eviction-policy differential harness: victim selection and write
-//! scheduling must be pure *performance* changes. Whatever the spill tier
-//! evicts — least-recently-used blocks or Belady-MIN victims chosen from
-//! the schedule's `AccessPlan` — and however it writes them out —
-//! synchronously on the critical path or through the write-behind dirty
-//! buffer — the amplitudes must match the dense reference to 1e-10 on
-//! every circuit family.
+//! Spill-tier write-mode differential harness: how evictions reach disk
+//! must be a pure *performance* change. Whether the spill tier writes its
+//! least-recently-used victims synchronously on the critical path or
+//! through the write-behind dirty buffer, the amplitudes must match the
+//! dense reference to 1e-10 on every circuit family.
 //!
-//! On top of the correctness matrix, the suite pins the two performance
-//! contracts the policies exist for:
-//!
-//! * `PlannedMin` never issues more blocking fetches than `Lru` on a
-//!   planned workload (the plan is a perfect future-reference trace, so
-//!   MIN victims can only help);
-//! * peak memory stays within the residency budget plus the two bounded
-//!   side buffers (prefetch staging, write-behind dirty queue) — the
-//!   accounting gap regression: both buffers hold real decoded frames and
-//!   must show up in `peak_memory_bytes`.
+//! On top of the correctness matrix, the suite pins the footprint
+//! contract: peak memory stays within the residency budget plus the two
+//! bounded side buffers (prefetch staging, write-behind dirty queue) —
+//! the accounting gap regression: both buffers hold real decoded frames
+//! and must show up in `peak_memory_bytes`.
 
 use qcsim::circuits::supremacy::{random_circuit, Grid};
 use qcsim::circuits::{
     grover_circuit, phase_estimation_circuit, qaoa_circuit, qft_benchmark_circuit,
     random_regular_graph, QaoaParams,
 };
-use qcsim::core::Eviction;
 use qcsim::{Circuit, CompressedSimulator, ErrorBound, SimConfig, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +22,7 @@ use rand::SeedableRng;
 const TOL: f64 = 1e-10;
 
 /// The five circuit families of the paper's evaluation, at geometries
-/// small enough that the full policy x write-mode matrix stays fast while
+/// small enough that the write-mode matrix stays fast while
 /// a 2-block budget still forces real spill traffic (2^n amplitudes over
 /// 2^3-amplitude blocks = up to 64 blocks per family).
 fn families() -> Vec<(&'static str, Circuit)> {
@@ -46,15 +38,13 @@ fn families() -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-/// Lossless out-of-core config: `budget` resident blocks, the given
-/// victim policy, and synchronous or write-behind eviction writes.
-fn spilled_cfg(budget: usize, eviction: Eviction, write_behind: bool, prefetch: bool) -> SimConfig {
+/// Lossless out-of-core config: `budget` resident blocks, synchronous or
+/// write-behind eviction writes.
+fn spilled_cfg(budget: usize, write_behind: bool) -> SimConfig {
     SimConfig::default()
         .with_block_log2(3)
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(budget)
-        .with_prefetch(prefetch)
-        .with_eviction(eviction)
         .with_write_behind(write_behind)
 }
 
@@ -78,90 +68,39 @@ fn max_amp_error(sim: &CompressedSimulator, dense: &StateVector) -> f64 {
 }
 
 #[test]
-fn every_family_matches_dense_across_policy_and_write_behind() {
-    // The full matrix: {Lru, PlannedMin} x {sync, write-behind} on all
-    // five families at a 2-block budget. Every cell must actually go
-    // out-of-core and still match the dense reference amplitude-wise.
+fn every_family_matches_dense_in_both_write_modes() {
+    // The full matrix: {sync, write-behind} on all five families at a
+    // 2-block budget. Every cell must actually go out-of-core and still
+    // match the dense reference amplitude-wise.
     for (name, circuit) in families() {
         let mut rng = StdRng::seed_from_u64(2019);
         let dense = circuit.simulate_dense(&mut rng);
-        for eviction in [Eviction::Lru, Eviction::PlannedMin] {
-            for write_behind in [false, true] {
-                let sim = run(&circuit, spilled_cfg(2, eviction, write_behind, true));
-                let report = sim.report();
+        for write_behind in [false, true] {
+            let sim = run(&circuit, spilled_cfg(2, write_behind));
+            let report = sim.report();
+            assert!(
+                report.spills > 0 && report.fetches > 0,
+                "{name} (wb={write_behind}): the run must go out-of-core"
+            );
+            if write_behind {
                 assert!(
-                    report.spills > 0 && report.fetches > 0,
-                    "{name} ({} / wb={write_behind}): the run must go out-of-core",
-                    eviction.name()
+                    report.write_behind_bytes <= report.spill_bytes,
+                    "{name}: write-behind bytes are a subset of spill bytes"
                 );
-                if write_behind {
-                    assert!(
-                        report.write_behind_bytes <= report.spill_bytes,
-                        "{name}: write-behind bytes are a subset of spill bytes"
-                    );
-                } else {
-                    assert_eq!(
-                        report.write_behind_spills,
-                        0,
-                        "{name} ({}): synchronous mode must never count \
-                         write-behind spills",
-                        eviction.name()
-                    );
-                }
-                let err = max_amp_error(&sim, &dense);
-                assert!(
-                    err <= TOL,
-                    "{name} ({} / wb={write_behind}): max amplitude error \
-                     {err:e} > {TOL:e}",
-                    eviction.name()
-                );
+            } else {
                 assert_eq!(
-                    report.fidelity_lower_bound, 1.0,
-                    "{name}: lossless run must keep the ledger at 1"
+                    report.write_behind_spills, 0,
+                    "{name}: synchronous mode must never count write-behind spills"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn planned_min_never_blocks_on_more_fetches_than_lru() {
-    // With prefetch off every fetch is a blocking seek-and-read and the
-    // counters are fully deterministic (no background-thread races), so
-    // the MIN-vs-LRU comparison is exact: the plan window hands
-    // `PlannedMin` the true future reference trace, and Belady's
-    // argument says its miss count is a lower bound on any plan-blind
-    // policy's over the same window.
-    for (name, circuit) in families() {
-        for budget in [2usize, 4] {
-            let lru = run(&circuit, spilled_cfg(budget, Eviction::Lru, false, false));
-            let min = run(
-                &circuit,
-                spilled_cfg(budget, Eviction::PlannedMin, false, false),
+            let err = max_amp_error(&sim, &dense);
+            assert!(
+                err <= TOL,
+                "{name} (wb={write_behind}): max amplitude error {err:e} > {TOL:e}"
             );
-            let (lru, min) = (lru.report(), min.report());
             assert_eq!(
-                lru.prefetch_hits, 0,
-                "{name}: prefetch off must never stage blocks"
-            );
-            assert!(
-                lru.fetches > 0,
-                "{name} (budget {budget}): the comparison needs spill traffic"
-            );
-            // With prefetch off, blocking fetches == fetches.
-            assert!(
-                min.prefetch_misses <= lru.prefetch_misses,
-                "{name} (budget {budget}): PlannedMin blocked on more \
-                 fetches than Lru ({} vs {})",
-                min.prefetch_misses,
-                lru.prefetch_misses
-            );
-            assert!(
-                min.spill_bytes <= lru.spill_bytes,
-                "{name} (budget {budget}): PlannedMin wrote more spill \
-                 bytes than Lru ({} vs {})",
-                min.spill_bytes,
-                lru.spill_bytes
+                report.fidelity_lower_bound, 1.0,
+                "{name}: lossless run must keep the ledger at 1"
             );
         }
     }
@@ -170,7 +109,8 @@ fn planned_min_never_blocks_on_more_fetches_than_lru() {
 #[test]
 fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
     // The accounting-gap regression (the footprint the escalation loop
-    // steers by): with prefetch *and* write-behind on, the spill tier
+    // steers by): with write-behind on next to the prefetcher, the spill
+    // tier
     // holds at most `budget` resident blocks, `budget` staged frames
     // (the prefetch reservation cap), and `budget + 1` dirty frames (the
     // bounded enqueue admits one over before it stalls the evictor).
@@ -184,8 +124,6 @@ fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
         .with_block_log2(block_log2)
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(budget)
-        .with_prefetch(true)
-        .with_eviction(Eviction::PlannedMin)
         .with_write_behind(true);
     let sim = run(&circuit, cfg);
     let report = sim.report();

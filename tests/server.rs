@@ -428,6 +428,30 @@ fn hostile_specs_are_rejected_or_clamped() {
         .expect_err("oversized qubit count must be rejected");
     assert!(err.to_string().contains("maximum"), "typed reason: {err}");
 
+    // A cache this large would panic the runner thread while it builds
+    // the simulator, leaving the job Running with its carve-out never
+    // released. Validation must reject it with the budget untouched.
+    let carved_before = client.health().expect("health").carved_bytes;
+    let mut huge_cache = job_cfg();
+    huge_cache.cache_lines = 1 << 62;
+    let err = client
+        .submit(&JobSpec::new("huge-cache", Circuit::new(6), huge_cache))
+        .expect_err("oversized cache must be rejected");
+    assert!(
+        err.to_string().contains("cache_lines"),
+        "typed reason: {err}"
+    );
+    let health = client.health().expect("health");
+    assert_eq!(
+        health.carved_bytes, carved_before,
+        "rejection carves nothing"
+    );
+    assert!(
+        health.jobs.is_empty(),
+        "no job was registered: {:?}",
+        health.jobs
+    );
+
     // pace_ms = u64::MAX is clamped server-side and slept in slices, so
     // the job still honors cancellation promptly instead of pinning its
     // carve-out (and shutdown's runner join) forever.
