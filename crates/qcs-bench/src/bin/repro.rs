@@ -3,13 +3,7 @@
 //! Usage: `repro <experiment> [--csv-dir DIR] [--remote]` where experiment
 //! is one of `table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //! fig14 fig15 fig16 table2 table-spill table-partial table-server
-//! ablation-cache ablation-qzstd ablation-ladder ablation-fusion
-//! bench-json all`.
-//!
-//! `bench-json` is the machine-readable hot-path perf harness: it runs
-//! three fused workloads with spill off and on and writes
-//! `BENCH_hotpath.json` (per-workload ns/gate, codec time, and the
-//! codec-seam allocation counters) instead of a CSV table.
+//! ablation-cache ablation-qzstd ablation-ladder ablation-fusion all`.
 //!
 //! `--remote` makes `fig5` host its rank workers in `qcsim-workerd`
 //! daemon loops over loopback TCP instead of in-process threads, so the
@@ -51,7 +45,7 @@ fn main() {
     }
     if cmds.is_empty() {
         eprintln!(
-            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-partial|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|bench-json|all> [--csv-dir DIR] [--remote]"
+            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-partial|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|all> [--csv-dir DIR] [--remote]"
         );
         std::process::exit(2);
     }
@@ -108,7 +102,6 @@ fn main() {
             "ablation-qzstd" => ablation_qzstd(&csv_dir),
             "ablation-ladder" => ablation_ladder(&csv_dir),
             "ablation-fusion" => ablation_fusion(&csv_dir),
-            "bench-json" => bench_json(),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);
@@ -1188,125 +1181,4 @@ fn ablation_ladder(dir: &Path) {
     }
     finish(&t, dir, "ablation_ladder");
     println!("expected: adaptive tracks the budget; fixed 1e-1 destroys fidelity; lossless barely compresses QFT states");
-}
-
-// --- bench-json: machine-readable hot-path perf harness -------------------
-
-/// One escaping-free JSON number/bool/string field; the writer below is
-/// hand-rolled because the harness's whole schema is flat and the crate
-/// policy is no new dependencies.
-fn json_field(out: &mut String, key: &str, value: &str, last: bool) {
-    out.push_str("      \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(value);
-    out.push_str(if last { "\n" } else { ",\n" });
-}
-
-/// Run the hot-path benchmark matrix (three fused workloads x spill
-/// off/on) and write `BENCH_hotpath.json` in the current directory.
-///
-/// Schema (`qcs-hotpath-bench/v1`): a top-level object with `schema` and
-/// `rows`; each row carries `workload`, `qubits`, `gates`, `spill`,
-/// `wall_ms`, `ns_per_gate`, `compress_ns`, `decompress_ns`, `codec_ns`,
-/// `codec_allocs`, `codec_bytes_alloc`, `scratch_reuse_hits`, and
-/// `peak_bytes`. Wall-clock fields are machine-dependent; the allocation
-/// counters are the reproducible contract (steady-state gate waves pin
-/// `codec_allocs` to the warm-up residue only).
-fn bench_json() {
-    let workloads: Vec<(&str, qcs_circuits::Circuit)> = vec![
-        ("qft_18", qft_benchmark_circuit(18, 12)),
-        ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
-        (
-            "qaoa_18",
-            qcs_circuits::qaoa_circuit(
-                &qcs_circuits::random_regular_graph(18, 4, 7),
-                &qcs_circuits::QaoaParams::standard(1),
-            ),
-        ),
-    ];
-    let mut out = String::from("{\n  \"schema\": \"qcs-hotpath-bench/v1\",\n  \"rows\": [\n");
-    let mut first = true;
-    for (name, circuit) in &workloads {
-        for &spill in &[false, true] {
-            // Fusion stays on (the hot path under test); spill-on caps
-            // residency at 32 blocks so the out-of-core tier's recycled
-            // frame scratch shows up in the counters too.
-            let mut cfg = SimConfig::default().with_block_log2(10);
-            if spill {
-                cfg = cfg.with_spill(32);
-            }
-            let n = circuit.num_qubits() as u32;
-            let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
-            let mut rng = StdRng::seed_from_u64(7);
-            let t0 = Instant::now();
-            sim.run(circuit, &mut rng).expect("run");
-            let wall = t0.elapsed();
-            let report = sim.report();
-            let compress_ns = report.breakdown.compression.as_nanos() as u64;
-            let decompress_ns = report.breakdown.decompression.as_nanos() as u64;
-            let ns_per_gate = if report.gates == 0 {
-                0
-            } else {
-                wall.as_nanos() as u64 / report.gates as u64
-            };
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    {\n");
-            json_field(&mut out, "workload", &format!("\"{name}\""), false);
-            json_field(&mut out, "qubits", &n.to_string(), false);
-            json_field(&mut out, "gates", &report.gates.to_string(), false);
-            json_field(
-                &mut out,
-                "spill",
-                if spill { "true" } else { "false" },
-                false,
-            );
-            json_field(&mut out, "wall_ms", &wall.as_millis().to_string(), false);
-            json_field(&mut out, "ns_per_gate", &ns_per_gate.to_string(), false);
-            json_field(&mut out, "compress_ns", &compress_ns.to_string(), false);
-            json_field(&mut out, "decompress_ns", &decompress_ns.to_string(), false);
-            json_field(
-                &mut out,
-                "codec_ns",
-                &(compress_ns + decompress_ns).to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "codec_allocs",
-                &report.codec_allocs.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "codec_bytes_alloc",
-                &report.codec_bytes_alloc.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "scratch_reuse_hits",
-                &report.scratch_reuse_hits.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "peak_bytes",
-                &report.peak_memory_bytes.to_string(),
-                true,
-            );
-            out.push_str("    }");
-            println!(
-                "... {name} spill={spill} gates={} ns/gate={ns_per_gate} allocs={} reuse={}",
-                report.gates, report.codec_allocs, report.scratch_reuse_hits
-            );
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    let path = Path::new("BENCH_hotpath.json");
-    std::fs::write(path, out).expect("write BENCH_hotpath.json");
-    println!("(json: {})", path.display());
 }

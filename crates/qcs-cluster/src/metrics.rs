@@ -79,9 +79,6 @@ struct Inner {
     segments_full: u64,
     segment_bytes_read: u64,
     segment_bytes_full: u64,
-    codec_allocs: u64,
-    codec_bytes_alloc: u64,
-    scratch_reuse_hits: u64,
 }
 
 /// Thread-safe accumulator of per-phase wall time and communication volume.
@@ -249,34 +246,6 @@ impl Metrics {
         inner.segment_bytes_full += bytes_full;
     }
 
-    /// Fold a drained codec-seam snapshot into the accumulator:
-    /// `allocs` heap allocations totalling `bytes` bytes and
-    /// `reuse_hits` scratch-buffer reuses observed at the block codec's
-    /// (de)compression seam since the last drain. Wall clock on a busy
-    /// dev box is noisy — these counters are the allocation-free hot
-    /// path's machine-checkable contract.
-    pub fn add_codec_counters(&self, allocs: u64, bytes: u64, reuse_hits: u64) {
-        let mut inner = self.inner.lock();
-        inner.codec_allocs += allocs;
-        inner.codec_bytes_alloc += bytes;
-        inner.scratch_reuse_hits += reuse_hits;
-    }
-
-    /// Heap allocations observed at the codec seam.
-    pub fn codec_allocs(&self) -> u64 {
-        self.inner.lock().codec_allocs
-    }
-
-    /// Bytes those codec-seam allocations requested.
-    pub fn codec_bytes_alloc(&self) -> u64 {
-        self.inner.lock().codec_bytes_alloc
-    }
-
-    /// Scratch-buffer reuse hits at the codec seam.
-    pub fn scratch_reuse_hits(&self) -> u64 {
-        self.inner.lock().scratch_reuse_hits
-    }
-
     /// Block operations served by the segment-addressable fast path.
     pub fn partial_decodes(&self) -> u64 {
         self.inner.lock().partial_decodes
@@ -377,9 +346,6 @@ impl Metrics {
             segments_full: inner.segments_full,
             segment_bytes_read: inner.segment_bytes_read,
             segment_bytes_full: inner.segment_bytes_full,
-            codec_allocs: inner.codec_allocs,
-            codec_bytes_alloc: inner.codec_bytes_alloc,
-            scratch_reuse_hits: inner.scratch_reuse_hits,
         }
     }
 
@@ -434,9 +400,6 @@ impl Metrics {
         inner.segments_full += d.segments_full;
         inner.segment_bytes_read += d.segment_bytes_read;
         inner.segment_bytes_full += d.segment_bytes_full;
-        inner.codec_allocs += d.codec_allocs;
-        inner.codec_bytes_alloc += d.codec_bytes_alloc;
-        inner.scratch_reuse_hits += d.scratch_reuse_hits;
     }
 }
 
@@ -500,14 +463,6 @@ pub struct TimeBreakdown {
     /// Compressed bytes a whole-block decode would have read for the same
     /// operations.
     pub segment_bytes_full: u64,
-    /// Heap allocations observed at the codec seam (pool misses plus
-    /// scratch-capacity growth); 0 in a warm steady state.
-    pub codec_allocs: u64,
-    /// Bytes those codec-seam allocations requested.
-    pub codec_bytes_alloc: u64,
-    /// Scratch-buffer reuse hits at the codec seam (pool checkouts served
-    /// from recycled buffers, and decodes that fit existing capacity).
-    pub scratch_reuse_hits: u64,
 }
 
 impl TimeBreakdown {
@@ -560,13 +515,6 @@ impl TimeBreakdown {
             segment_bytes_full: self
                 .segment_bytes_full
                 .saturating_sub(earlier.segment_bytes_full),
-            codec_allocs: self.codec_allocs.saturating_sub(earlier.codec_allocs),
-            codec_bytes_alloc: self
-                .codec_bytes_alloc
-                .saturating_sub(earlier.codec_bytes_alloc),
-            scratch_reuse_hits: self
-                .scratch_reuse_hits
-                .saturating_sub(earlier.scratch_reuse_hits),
         }
     }
 
@@ -796,28 +744,6 @@ mod tests {
         assert_eq!(other.segment_bytes_full(), 1600);
         m.reset();
         assert_eq!(m.partial_decodes(), 0);
-    }
-
-    #[test]
-    fn codec_counter_accounting_flows_through_delta_and_absorb() {
-        let m = Metrics::new();
-        m.add_codec_counters(3, 4096, 10);
-        m.add_codec_counters(0, 0, 7);
-        assert_eq!(m.codec_allocs(), 3);
-        assert_eq!(m.codec_bytes_alloc(), 4096);
-        assert_eq!(m.scratch_reuse_hits(), 17);
-        let b = m.breakdown();
-        assert_eq!(b.codec_allocs, 3);
-        assert_eq!(b.codec_bytes_alloc, 4096);
-        assert_eq!(b.scratch_reuse_hits, 17);
-        let delta = b.delta(&TimeBreakdown::default());
-        let other = Metrics::new();
-        other.absorb(&delta);
-        assert_eq!(other.codec_allocs(), 3);
-        assert_eq!(other.scratch_reuse_hits(), 17);
-        m.reset();
-        assert_eq!(m.codec_allocs(), 0);
-        assert_eq!(m.scratch_reuse_hits(), 0);
     }
 
     #[test]

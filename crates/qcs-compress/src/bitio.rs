@@ -223,6 +223,16 @@ pub mod bytes {
         *pos += 8;
         Some(f64::from_le_bytes(bytes.try_into().ok()?))
     }
+
+    /// Borrow `len` bytes at `pos`, advancing `pos`. `None` when the range
+    /// runs past the end of `buf` or `pos + len` overflows, as it does for
+    /// a hostile length field near `usize::MAX`.
+    #[inline]
+    pub fn get_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+        let bytes = buf.get(*pos..pos.checked_add(len)?)?;
+        *pos += len;
+        Some(bytes)
+    }
 }
 
 #[cfg(test)]

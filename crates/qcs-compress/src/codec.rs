@@ -36,42 +36,41 @@ pub trait Codec: Send + Sync {
     /// Short identifier used in reports (e.g. `"sz"`, `"sol_c"`).
     fn name(&self) -> &'static str;
 
-    /// Compress `data` under `bound`.
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError>;
-
-    /// Decompress `bytes` produced by this codec's `compress`.
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError>;
-
     /// Compress `data` under `bound` into `out`, reusing its capacity.
     ///
-    /// `out` is cleared first; on success it holds exactly the bytes
-    /// [`Codec::compress`] would have returned (bit-identical), on error
-    /// its contents are unspecified. The default delegates to the
-    /// allocating method so external implementations keep working; the
-    /// hot codecs in this crate override it to write in place.
+    /// `out` is cleared first; on error its contents are unspecified. This
+    /// is each codec's one encode body: [`Codec::compress`] wraps it.
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let bytes = self.compress(data, bound)?;
-        out.clear();
-        out.extend_from_slice(&bytes);
-        Ok(())
+    ) -> Result<(), CodecError>;
+
+    /// Decompress `bytes` produced by this codec into `out`, reusing its
+    /// capacity.
+    ///
+    /// `out` is cleared first; on error its contents are unspecified. This
+    /// is each codec's one decode body: [`Codec::decompress`] wraps it.
+    fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError>;
+
+    /// Compress `data` under `bound` into a fresh vector whose capacity
+    /// equals its length, so converting it to `Arc<[u8]>`/`Box<[u8]>`
+    /// never reallocates.
+    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+        let mut buf = crate::scratch::take_bytes();
+        let res = self
+            .compress_into(data, bound, &mut buf)
+            .map(|()| buf.to_vec());
+        crate::scratch::put_bytes(buf);
+        res
     }
 
-    /// Decompress `bytes` into `out`, reusing its capacity.
-    ///
-    /// `out` is cleared first; on success it holds exactly the values
-    /// [`Codec::decompress`] would have returned (bit-identical), on
-    /// error its contents are unspecified. The default delegates to the
-    /// allocating method; the hot codecs override it to decode in place.
-    fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        let values = self.decompress(bytes)?;
-        out.clear();
-        out.extend_from_slice(&values);
-        Ok(())
+    /// Decompress `bytes` produced by this codec into a fresh vector.
+    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(bytes, &mut out)?;
+        Ok(out)
     }
 
     /// Whether the codec supports a bound mode.
@@ -154,25 +153,10 @@ impl std::fmt::Display for CodecId {
     }
 }
 
-/// Repack `v` so its capacity equals its length (no-op when already
-/// exact). Compressors return exact-capacity vectors so converting them to
-/// `Arc<[u8]>`/`Box<[u8]>` never copies through a reallocation.
-pub(crate) fn exact(v: Vec<u8>) -> Vec<u8> {
-    if v.capacity() == v.len() {
-        v
-    } else {
-        let mut out = Vec::with_capacity(v.len());
-        out.extend_from_slice(&v);
-        out
-    }
-}
-
 /// Reinterpret an `f64` slice as little-endian bytes.
 pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    extend_f64s_as_bytes(data, &mut out);
     out
 }
 

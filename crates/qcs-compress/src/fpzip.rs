@@ -79,6 +79,75 @@ impl FpzipLike {
             _ => Err(CodecError::InvalidParam(format!("invalid bound: {bound}"))),
         }
     }
+
+    /// Decode a decompressed body, *appending* the values to `out` (which
+    /// the caller has cleared, so exception indices address it directly).
+    fn decode_body(body: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+        let mut pos = 0usize;
+        let magic = bytes::get_u32(body, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
+        if magic != MAGIC {
+            return Err(CodecError::Corrupt("bad magic".into()));
+        }
+        let n = bytes::get_u64(body, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("missing count".into()))? as usize;
+        let p = *body
+            .get(pos)
+            .ok_or_else(|| CodecError::Corrupt("missing precision".into()))? as u32;
+        pos += 1;
+        if !(4..=64).contains(&p) {
+            return Err(CodecError::Corrupt(format!("invalid precision {p}")));
+        }
+        let drop = 64 - p;
+        let lens_len = bytes::get_u64(body, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("missing lens length".into()))?
+            as usize;
+        let lens = bytes::get_slice(body, &mut pos, lens_len)
+            .ok_or_else(|| CodecError::Corrupt("truncated lens".into()))?;
+        let payload_len = bytes::get_u64(body, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("missing payload length".into()))?
+            as usize;
+        let payload = bytes::get_slice(body, &mut pos, payload_len)
+            .ok_or_else(|| CodecError::Corrupt("truncated payload".into()))?;
+
+        let mut prev = 0u64;
+        let mut ppos = 0usize;
+        for i in 0..n {
+            let nbytes = ((lens
+                .get(i / 2)
+                .ok_or_else(|| CodecError::Corrupt("lens underrun".into()))?
+                >> ((i % 2) * 4))
+                & 0x0F) as usize;
+            if nbytes > 8 {
+                return Err(CodecError::Corrupt("invalid residual length".into()));
+            }
+            let chunk = payload
+                .get(ppos..ppos + nbytes)
+                .ok_or_else(|| CodecError::Corrupt("payload underrun".into()))?;
+            ppos += nbytes;
+            let mut buf = [0u8; 8];
+            buf[..nbytes].copy_from_slice(chunk);
+            let residual = u64::from_le_bytes(buf);
+            let mapped = prev.wrapping_add(unzigzag(residual) as u64);
+            prev = mapped;
+            out.push(f64::from_bits(inverse_map(mapped << drop)));
+        }
+
+        let n_exc = bytes::get_u64(body, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("missing exception count".into()))?
+            as usize;
+        for _ in 0..n_exc {
+            let idx = bytes::get_u64(body, &mut pos)
+                .ok_or_else(|| CodecError::Corrupt("truncated exceptions".into()))?
+                as usize;
+            let bits = bytes::get_u64(body, &mut pos)
+                .ok_or_else(|| CodecError::Corrupt("truncated exceptions".into()))?;
+            *out.get_mut(idx)
+                .ok_or_else(|| CodecError::Corrupt("exception index out of range".into()))? =
+                f64::from_bits(bits);
+        }
+        Ok(())
+    }
 }
 
 impl Codec for FpzipLike {
@@ -86,15 +155,20 @@ impl Codec for FpzipLike {
         "fpzip"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+    fn compress_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let p = Self::precision(bound)?;
         let drop = 64 - p;
         let mut exceptions: Vec<(u64, u64)> = Vec::new();
 
         // Residual stream: 4-bit significant-byte count per value (packed
         // two per byte) followed by the little-endian significant bytes.
-        let mut lens = Vec::with_capacity(data.len() / 2 + 1);
-        let mut payload = Vec::with_capacity(data.len() * 4);
+        let mut lens = crate::scratch::take_bytes();
+        let mut payload = crate::scratch::take_bytes();
         let mut len_acc = 0u8;
         let mut len_fill = 0u32;
         let mut prev = 0u64;
@@ -128,7 +202,7 @@ impl Codec for FpzipLike {
             lens.push(len_acc);
         }
 
-        let mut body = Vec::with_capacity(lens.len() + payload.len() + 48);
+        let mut body = crate::scratch::take_bytes();
         bytes::put_u32(&mut body, MAGIC);
         bytes::put_u64(&mut body, data.len() as u64);
         body.push(p as u8);
@@ -141,81 +215,24 @@ impl Codec for FpzipLike {
             bytes::put_u64(&mut body, *idx);
             bytes::put_u64(&mut body, *bits);
         }
-        Ok(qzstd::compress(&body, qzstd::Level::Fast))
+        out.clear();
+        qzstd::compress_into(&body, qzstd::Level::Fast, out);
+        crate::scratch::put_bytes(body);
+        crate::scratch::put_bytes(payload);
+        crate::scratch::put_bytes(lens);
+        Ok(())
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let body =
-            qzstd::decompress(data).map_err(|e| CodecError::Corrupt(format!("backend: {e}")))?;
-        let mut pos = 0usize;
-        let magic = bytes::get_u32(&body, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
-        if magic != MAGIC {
-            return Err(CodecError::Corrupt("bad magic".into()));
-        }
-        let n = bytes::get_u64(&body, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing count".into()))? as usize;
-        let p = *body
-            .get(pos)
-            .ok_or_else(|| CodecError::Corrupt("missing precision".into()))? as u32;
-        pos += 1;
-        if !(4..=64).contains(&p) {
-            return Err(CodecError::Corrupt(format!("invalid precision {p}")));
-        }
-        let drop = 64 - p;
-        let lens_len = bytes::get_u64(&body, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing lens length".into()))?
-            as usize;
-        let lens = body
-            .get(pos..pos + lens_len)
-            .ok_or_else(|| CodecError::Corrupt("truncated lens".into()))?;
-        pos += lens_len;
-        let payload_len = bytes::get_u64(&body, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing payload length".into()))?
-            as usize;
-        let payload = body
-            .get(pos..pos + payload_len)
-            .ok_or_else(|| CodecError::Corrupt("truncated payload".into()))?;
-        pos += payload_len;
-
-        let mut out = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        let mut ppos = 0usize;
-        for i in 0..n {
-            let nbytes = ((lens
-                .get(i / 2)
-                .ok_or_else(|| CodecError::Corrupt("lens underrun".into()))?
-                >> ((i % 2) * 4))
-                & 0x0F) as usize;
-            if nbytes > 8 {
-                return Err(CodecError::Corrupt("invalid residual length".into()));
-            }
-            let chunk = payload
-                .get(ppos..ppos + nbytes)
-                .ok_or_else(|| CodecError::Corrupt("payload underrun".into()))?;
-            ppos += nbytes;
-            let mut buf = [0u8; 8];
-            buf[..nbytes].copy_from_slice(chunk);
-            let residual = u64::from_le_bytes(buf);
-            let mapped = prev.wrapping_add(unzigzag(residual) as u64);
-            prev = mapped;
-            out.push(f64::from_bits(inverse_map(mapped << drop)));
-        }
-
-        let n_exc = bytes::get_u64(&body, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing exception count".into()))?
-            as usize;
-        for _ in 0..n_exc {
-            let idx = bytes::get_u64(&body, &mut pos)
-                .ok_or_else(|| CodecError::Corrupt("truncated exceptions".into()))?
-                as usize;
-            let bits = bytes::get_u64(&body, &mut pos)
-                .ok_or_else(|| CodecError::Corrupt("truncated exceptions".into()))?;
-            *out.get_mut(idx)
-                .ok_or_else(|| CodecError::Corrupt("exception index out of range".into()))? =
-                f64::from_bits(bits);
-        }
-        Ok(out)
+    fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+        let mut body = crate::scratch::take_bytes();
+        let res = qzstd::decompress_into(data, &mut body)
+            .map_err(|e| CodecError::Corrupt(format!("backend: {e}")))
+            .and_then(|()| {
+                out.clear();
+                Self::decode_body(&body, out)
+            });
+        crate::scratch::put_bytes(body);
+        res
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {

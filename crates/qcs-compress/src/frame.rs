@@ -142,40 +142,24 @@ pub fn encoded_len_of(payload: &[u8]) -> usize {
     }
 }
 
-/// Write one frame to `w`. Segmented payloads (see [`crate::partial`]) get
-/// a version-2 header whose checksum covers only the stream prefix; any
-/// other payload gets the version-1 format. Returns the number of bytes
-/// written ([`encoded_len_of`]`(payload)`).
+/// Write one frame to `w` with a single `write_all` of the bytes
+/// [`encode_frame_into`] assembles in a [`crate::scratch`] buffer.
+/// Segmented payloads (see [`crate::partial`]) get a version-2 header whose
+/// checksum covers only the stream prefix; any other payload gets the
+/// version-1 format. Returns the number of bytes written
+/// ([`encoded_len_of`]`(payload)`).
 pub fn write_frame<W: Write>(
     w: &mut W,
     codec: CodecId,
     bound: ErrorBound,
     payload: &[u8],
 ) -> Result<usize, FrameError> {
-    if payload.len() > MAX_PAYLOAD {
-        return Err(FrameError::Corrupt(format!(
-            "payload of {} bytes exceeds the {MAX_PAYLOAD}-byte frame cap",
-            payload.len()
-        )));
-    }
-    let prefix_len = crate::partial::segmented_prefix_len(payload);
-    w.write_all(if prefix_len.is_some() {
-        &MAGIC2
-    } else {
-        &MAGIC
-    })?;
-    w.write_all(&[codec as u8, bound.tag()])?;
-    w.write_all(&bound.magnitude().to_le_bytes())?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    match prefix_len {
-        Some(p) => {
-            w.write_all(&(p as u32).to_le_bytes())?;
-            w.write_all(&fnv1a(&payload[..p]).to_le_bytes())?;
-        }
-        None => w.write_all(&fnv1a(payload).to_le_bytes())?,
-    }
-    w.write_all(payload)?;
-    Ok(encoded_len_of(payload))
+    let mut buf = crate::scratch::take_bytes();
+    let res = encode_frame_into(codec, bound, payload, &mut buf)
+        .and_then(|()| w.write_all(&buf).map_err(FrameError::from))
+        .map(|()| buf.len());
+    crate::scratch::put_bytes(buf);
+    res
 }
 
 /// Encode one frame into a fresh vector. The returned vector's capacity
@@ -192,10 +176,9 @@ pub fn encode_frame(
     Ok(out)
 }
 
-/// [`write_frame`] straight into a byte vector, *appending* the frame to
-/// `out`. Identical bytes; the exact encoded length is reserved up front,
-/// so a reused `out` grows at most once and an empty `out` sized with
-/// [`encoded_len_of`] never grows at all.
+/// Encode one frame, *appending* it to `out`: the one frame encoder behind
+/// [`write_frame`] and [`encode_frame`]. The exact encoded length is
+/// reserved up front, so a reused `out` grows at most once.
 pub fn encode_frame_into(
     codec: CodecId,
     bound: ErrorBound,

@@ -174,8 +174,9 @@ pub fn encode_into(symbols: &[u32], alphabet: u32, out: &mut Vec<u8>) -> Result<
     bytes::put_u32(out, alphabet);
     bytes::put_u64(out, symbols.len() as u64);
 
-    // Header: code lengths, run-length encoded as (len: u8, run: u16) pairs.
-    let mut header = Vec::new();
+    // Header: code lengths, run-length encoded as (len: u8, run: u16) pairs,
+    // assembled in a pooled buffer (it grows to ~3 bytes per symbol run).
+    let mut header = crate::scratch::take_bytes();
     let mut i = 0usize;
     while i < lens.len() {
         let l = lens[i];
@@ -189,6 +190,7 @@ pub fn encode_into(symbols: &[u32], alphabet: u32, out: &mut Vec<u8>) -> Result<
     }
     bytes::put_u32(out, header.len() as u32);
     out.extend_from_slice(&header);
+    crate::scratch::put_bytes(header);
 
     // Payload: codes MSB-first within the LSB-first bit writer, so we reverse
     // bits here and read naturally on decode via table lookups.
@@ -296,10 +298,8 @@ pub fn decode_into(data: &[u8], out: &mut Vec<u32>) -> Result<(), HuffmanError> 
     let n = bytes::get_u64(data, &mut pos).ok_or(HuffmanError::Corrupt("missing count"))? as usize;
     let header_len =
         bytes::get_u32(data, &mut pos).ok_or(HuffmanError::Corrupt("missing header len"))? as usize;
-    let header = data
-        .get(pos..pos + header_len)
+    let header = bytes::get_slice(data, &mut pos, header_len)
         .ok_or(HuffmanError::Corrupt("truncated header"))?;
-    pos += header_len;
 
     let mut lens = Vec::with_capacity(alphabet as usize);
     let mut h = 0usize;
@@ -317,8 +317,7 @@ pub fn decode_into(data: &[u8], out: &mut Vec<u32>) -> Result<(), HuffmanError> 
 
     let payload_len = bytes::get_u64(data, &mut pos)
         .ok_or(HuffmanError::Corrupt("missing payload len"))? as usize;
-    let payload = data
-        .get(pos..pos + payload_len)
+    let payload = bytes::get_slice(data, &mut pos, payload_len)
         .ok_or(HuffmanError::Corrupt("truncated payload"))?;
 
     let decoder = Decoder::from_lens(&lens);
@@ -337,8 +336,8 @@ pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// [`encode_bytes`], *appending* the stream to `out` and recycling the
-/// symbol widening scratch per thread.
+/// [`encode_bytes`], *appending* the stream to `out`; the widened symbols
+/// are staged through the [`crate::scratch`] pool.
 pub fn encode_bytes_into(data: &[u8], out: &mut Vec<u8>) {
     let mut symbols = crate::scratch::take_u32s();
     symbols.reserve(data.len());
@@ -354,8 +353,8 @@ pub fn decode_bytes(data: &[u8]) -> Result<Vec<u8>, HuffmanError> {
     Ok(out)
 }
 
-/// [`decode_bytes`], *appending* the bytes to `out` and recycling the
-/// symbol scratch per thread.
+/// [`decode_bytes`], *appending* the bytes to `out`; the decoded symbols
+/// are staged through the [`crate::scratch`] pool.
 pub fn decode_bytes_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), HuffmanError> {
     let mut symbols = crate::scratch::take_u32s();
     let res = decode_into(data, &mut symbols);

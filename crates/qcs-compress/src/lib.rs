@@ -14,7 +14,9 @@
 //! - [`zfp`] / [`fpzip`] — the domain-transform and predictive-precision
 //!   comparators the paper evaluates against;
 //! - [`stats`] — error distributions, CDFs and autocorrelation used by the
-//!   evaluation figures.
+//!   evaluation figures;
+//! - [`scratch`] — the process-wide pool of recycled buffers every codec
+//!   stage and the simulator's waves draw from.
 //!
 //! All lossy codecs implement the common [`Codec`] trait and guarantee their
 //! [`ErrorBound`] pointwise.
@@ -139,7 +141,7 @@ pub mod huffman;
 pub mod lz77;
 pub mod partial;
 pub mod qzstd;
-pub(crate) mod scratch;
+pub mod scratch;
 pub mod stats;
 pub mod sz;
 pub mod trunc;
@@ -176,28 +178,13 @@ impl Codec for QzstdCodec {
         "qzstd"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        // A lossless codec satisfies every bound; reject only nonsense input.
-        if let ErrorBound::Absolute(e) | ErrorBound::PointwiseRelative(e) = bound {
-            if e < 0.0 {
-                return Err(CodecError::InvalidParam(format!("negative bound {e}")));
-            }
-        }
-        Ok(qzstd::compress(&f64s_to_bytes(data), self.level))
-    }
-
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
+        // A lossless codec satisfies every bound; reject only nonsense input.
         if let ErrorBound::Absolute(e) | ErrorBound::PointwiseRelative(e) = bound {
             if e < 0.0 {
                 return Err(CodecError::InvalidParam(format!("negative bound {e}")));

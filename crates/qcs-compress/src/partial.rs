@@ -278,32 +278,33 @@ pub trait PartialCodec: Codec {
         Ok(())
     }
 
-    /// Apply segment-level `edits` to a complete stream, returning the new
-    /// stream. Untouched segment bodies are copied verbatim — never
-    /// decoded or re-encoded.
-    fn recompress_segments(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// [`PartialCodec::recompress_segments`] into a reused buffer: `out` is
-    /// cleared first and on success holds exactly the bytes the allocating
-    /// method would have returned. The default delegates to the allocating
-    /// method; segment-addressable codecs in this crate override it to
-    /// splice in place.
+    /// Apply segment-level `edits` to a complete stream, writing the new
+    /// stream into `out` (cleared first; unspecified on error). Untouched
+    /// segment bodies are copied verbatim — never decoded or re-encoded.
+    /// This is the codec's one re-encode body:
+    /// [`PartialCodec::recompress_segments`] wraps it.
     fn recompress_segments_into(
         &self,
         data: &[u8],
         edits: &[SegmentEdit<'_>],
         bound: ErrorBound,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let bytes = self.recompress_segments(data, edits, bound)?;
-        out.clear();
-        out.extend_from_slice(&bytes);
-        Ok(())
+    ) -> Result<(), CodecError>;
+
+    /// [`PartialCodec::recompress_segments_into`] into a fresh vector whose
+    /// capacity equals its length.
+    fn recompress_segments(
+        &self,
+        data: &[u8],
+        edits: &[SegmentEdit<'_>],
+        bound: ErrorBound,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut buf = crate::scratch::take_bytes();
+        let res = self
+            .recompress_segments_into(data, edits, bound, &mut buf)
+            .map(|()| buf.to_vec());
+        crate::scratch::put_bytes(buf);
+        res
     }
 
     /// Re-encode the contiguous segment run `segs` from `values` (the

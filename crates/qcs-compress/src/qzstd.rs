@@ -70,58 +70,20 @@ const MODE_LZ: u8 = 1;
 const MODE_LZ_HUFF: u8 = 2;
 const MODE_ZERO: u8 = 3;
 
-fn container(mode: u8, orig_len: usize, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 9);
-    out.push(mode);
-    out.extend_from_slice(&(orig_len as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Compress `data` at the given level. The returned vector's capacity
 /// equals its length, so converting it to `Arc<[u8]>`/`Box<[u8]>` never
 /// reallocates.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    if data.iter().all(|&b| b == 0) {
-        return container(MODE_ZERO, data.len(), &[]);
-    }
-    let mut lz = crate::scratch::take_bytes();
-    lz77::compress_into(data, &mut lz);
-    let out = match level {
-        Level::High => {
-            let mut entropy = crate::scratch::take_bytes();
-            huffman::encode_bytes_into(&lz, &mut entropy);
-            let payload = if entropy.len() < lz.len() {
-                &entropy
-            } else {
-                &lz
-            };
-            let out = if payload.len() >= data.len() {
-                container(MODE_STORED, data.len(), data)
-            } else if entropy.len() < lz.len() {
-                container(MODE_LZ_HUFF, data.len(), &entropy)
-            } else {
-                container(MODE_LZ, data.len(), &lz)
-            };
-            crate::scratch::put_bytes(entropy);
-            out
-        }
-        Level::Fast => {
-            if lz.len() >= data.len() {
-                container(MODE_STORED, data.len(), data)
-            } else {
-                container(MODE_LZ, data.len(), &lz)
-            }
-        }
-    };
-    crate::scratch::put_bytes(lz);
+    let mut out = Vec::new();
+    compress_into(data, level, &mut out);
     out
 }
 
-/// [`compress`], *appending* the container to `out`. Identical bytes; the
-/// intermediate LZ/entropy streams come from recycled per-thread scratch,
-/// so steady-state compression into a reused `out` performs no heap
-/// allocation once the scratch has grown to the working size.
+/// Compress `data` at the given level, *appending* the container to `out`.
+/// The encoder tries the configured pipeline and keeps whichever of the
+/// stored, LZ and LZ + Huffman representations is smallest. The
+/// intermediate LZ/entropy streams come from the shared [`crate::scratch`]
+/// pool.
 pub fn compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
     if data.iter().all(|&b| b == 0) {
         out.reserve(9);
@@ -156,17 +118,17 @@ pub fn compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
     crate::scratch::put_bytes(lz);
 }
 
-/// Decompress a qzstd container.
+/// Decompress a qzstd container into a fresh vector.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, QzError> {
     let mut out = Vec::new();
     decompress_into(data, &mut out)?;
     Ok(out)
 }
 
-/// [`decompress`], *appending* the original bytes to `out`. Stored and
-/// all-zero payloads are written straight into `out`; the LZ stages decode
-/// in place, with only the Huffman-to-LZ intermediate staged through
-/// recycled per-thread scratch.
+/// Decompress a qzstd container, *appending* the original bytes to `out`.
+/// Stored and all-zero payloads are written straight into `out`; the LZ
+/// stages decode in place, with only the Huffman-to-LZ intermediate staged
+/// through the [`crate::scratch`] pool.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), QzError> {
     if data.len() < 9 {
         return Err(QzError::Corrupt("container too short"));
@@ -193,12 +155,6 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), QzError> {
         return Err(QzError::Corrupt("length mismatch after decode"));
     }
     Ok(())
-}
-
-/// Compression ratio (original / compressed) achieved on `data`.
-pub fn ratio(data: &[u8], level: Level) -> f64 {
-    let c = compress(data, level);
-    data.len() as f64 / c.len() as f64
 }
 
 #[cfg(test)]

@@ -30,23 +30,10 @@ impl SzCore {
         Self { bins, stride }
     }
 
-    /// Compress under `bound` (absolute or pointwise-relative only). The
-    /// returned vector's capacity equals its length.
-    pub fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        let mut scratch = crate::scratch::take_bytes();
-        let res = self.compress_into(data, bound, &mut scratch).map(|()| {
-            let mut out = Vec::with_capacity(scratch.len());
-            out.extend_from_slice(&scratch);
-            out
-        });
-        crate::scratch::put_bytes(scratch);
-        res
-    }
-
-    /// [`SzCore::compress`], *appending* the stream to `out`. Every
-    /// intermediate (quantization codes, bitmaps, bodies, log stream) is
-    /// staged through recycled per-thread scratch, so steady-state
-    /// compression into a reused `out` performs no heap allocation.
+    /// Compress under `bound` (absolute or pointwise-relative only),
+    /// *appending* the stream to `out`. Every intermediate (quantization
+    /// codes, bitmaps, bodies, log stream) is staged through the
+    /// [`crate::scratch`] pool.
     pub fn compress_into(
         &self,
         data: &[f64],
@@ -77,14 +64,8 @@ impl SzCore {
         }
     }
 
-    /// Decompress a stream produced by [`SzCore::compress`].
-    pub fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SzCore::decompress`], *appending* the values to `out`.
+    /// Decompress a stream produced by [`SzCore::compress_into`],
+    /// *appending* the values to `out`.
     pub fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
@@ -119,7 +100,7 @@ impl SzCore {
     /// Build the pre-backend absolute-mode body: value count, Huffman-coded
     /// quantization symbols (length backfilled once encoded), verbatim
     /// outliers. Codes, outliers, and the per-chain predictor state are all
-    /// staged through recycled per-thread scratch.
+    /// staged through the [`crate::scratch`] pool.
     fn abs_body_into(&self, data: &[f64], e: f64, body: &mut Vec<u8>) {
         let half = (self.bins / 2) as i64;
         let unpredictable_code = self.bins; // reserved symbol
@@ -200,10 +181,8 @@ impl SzCore {
         let huff_len = bytes::get_u64(body, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing huffman length".into()))?
             as usize;
-        let huff = body
-            .get(pos..pos + huff_len)
+        let huff = bytes::get_slice(body, &mut pos, huff_len)
             .ok_or_else(|| CodecError::Corrupt("truncated huffman stream".into()))?;
-        pos += huff_len;
         huffman::decode_into(huff, codes)
             .map_err(|err| CodecError::Corrupt(format!("huffman: {err}")))?;
         if codes.len() != n {
@@ -212,8 +191,7 @@ impl SzCore {
         let out_len = bytes::get_u64(body, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing outlier length".into()))?
             as usize;
-        let outliers = body
-            .get(pos..pos + out_len)
+        let outliers = bytes::get_slice(body, &mut pos, out_len)
             .ok_or_else(|| CodecError::Corrupt("truncated outliers".into()))?;
 
         let half = (self.bins / 2) as i64;
@@ -325,14 +303,10 @@ impl SzCore {
         let log_bound = bytes::get_f64(body, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing log bound".into()))?;
         let bitmap_len = n.div_ceil(8);
-        let signs = body
-            .get(pos..pos + bitmap_len)
+        let signs = bytes::get_slice(body, &mut pos, bitmap_len)
             .ok_or_else(|| CodecError::Corrupt("truncated signs".into()))?;
-        pos += bitmap_len;
-        let zeros = body
-            .get(pos..pos + bitmap_len)
+        let zeros = bytes::get_slice(body, &mut pos, bitmap_len)
             .ok_or_else(|| CodecError::Corrupt("truncated zeros".into()))?;
-        pos += bitmap_len;
         let n_exc = bytes::get_u64(body, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing exceptions".into()))?
             as usize;
@@ -348,8 +322,7 @@ impl SzCore {
         let inner_len = bytes::get_u64(body, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing inner length".into()))?
             as usize;
-        let inner = body
-            .get(pos..pos + inner_len)
+        let inner = bytes::get_slice(body, &mut pos, inner_len)
             .ok_or_else(|| CodecError::Corrupt("truncated inner stream".into()))?;
 
         let mut logs = crate::scratch::take_f64s();
@@ -393,13 +366,21 @@ impl SzCore {
 mod tests {
     use super::*;
 
+    /// Encode then decode through the core, returning both sides.
+    fn round_trip(core: &SzCore, data: &[f64], bound: ErrorBound) -> (Vec<u8>, Vec<f64>) {
+        let mut enc = Vec::new();
+        core.compress_into(data, bound, &mut enc).unwrap();
+        let mut dec = Vec::new();
+        core.decompress_into(&enc, &mut dec).unwrap();
+        (enc, dec)
+    }
+
     #[test]
     fn quantization_is_error_bounded_by_construction() {
         let core = SzCore::new(64, 1);
         let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin()).collect();
         let e = 1e-3;
-        let enc = core.compress(&data, ErrorBound::Absolute(e)).unwrap();
-        let dec = core.decompress(&enc).unwrap();
+        let (_, dec) = round_trip(&core, &data, ErrorBound::Absolute(e));
         for (x, y) in data.iter().zip(&dec) {
             assert!((x - y).abs() <= e);
         }
@@ -411,8 +392,7 @@ mod tests {
         // stored verbatim and the bound trivially holds.
         let core = SzCore::new(4, 1);
         let data: Vec<f64> = (0..500).map(|i| ((i * 7919) % 1000) as f64).collect();
-        let enc = core.compress(&data, ErrorBound::Absolute(1e-9)).unwrap();
-        let dec = core.decompress(&enc).unwrap();
+        let (_, dec) = round_trip(&core, &data, ErrorBound::Absolute(1e-9));
         for (x, y) in data.iter().zip(&dec) {
             assert!((x - y).abs() <= 1e-9);
         }
@@ -425,12 +405,10 @@ mod tests {
         let data: Vec<f64> = (0..2000)
             .map(|i| if i % 2 == 0 { 5.0 } else { -3.0 })
             .collect();
-        let enc = core.compress(&data, ErrorBound::Absolute(1e-6)).unwrap();
-        let one = SzCore::new(1024, 1);
-        let enc1 = one.compress(&data, ErrorBound::Absolute(1e-6)).unwrap();
+        let (enc, dec) = round_trip(&core, &data, ErrorBound::Absolute(1e-6));
+        let (enc1, _) = round_trip(&SzCore::new(1024, 1), &data, ErrorBound::Absolute(1e-6));
         // Split chains see constant signals; the flat chain sees +-8 jumps.
         assert!(enc.len() <= enc1.len());
-        let dec = core.decompress(&enc).unwrap();
         for (x, y) in data.iter().zip(&dec) {
             assert!((x - y).abs() <= 1e-6);
         }
@@ -440,10 +418,7 @@ mod tests {
     fn relative_mode_handles_nonfinite() {
         let core = SzCore::new(256, 1);
         let data = vec![1.0, f64::INFINITY, -2.0, f64::NAN, 0.0, 3.0];
-        let enc = core
-            .compress(&data, ErrorBound::PointwiseRelative(1e-2))
-            .unwrap();
-        let dec = core.decompress(&enc).unwrap();
+        let (_, dec) = round_trip(&core, &data, ErrorBound::PointwiseRelative(1e-2));
         assert_eq!(dec[1], f64::INFINITY);
         assert!(dec[3].is_nan());
         assert_eq!(dec[4], 0.0);

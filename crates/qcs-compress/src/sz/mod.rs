@@ -41,10 +41,6 @@ impl Codec for SolutionA {
         "sol_a"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        self.core.compress(data, bound)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
@@ -53,10 +49,6 @@ impl Codec for SolutionA {
     ) -> Result<(), CodecError> {
         out.clear();
         self.core.compress_into(data, bound, out)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        self.core.decompress(bytes)
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
@@ -90,10 +82,6 @@ impl Codec for SolutionB {
         "sol_b"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        self.core.compress(data, bound)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
@@ -102,10 +90,6 @@ impl Codec for SolutionB {
     ) -> Result<(), CodecError> {
         out.clear();
         self.core.compress_into(data, bound, out)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        self.core.decompress(bytes)
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {

@@ -40,23 +40,12 @@ impl SolutionD {
         }
     }
 
-    /// Encode one run of values as a legacy D body: even/odd reshuffle,
-    /// then a Solution C stream per half. Used whole-stream and as the
-    /// per-segment body encoder of the segmented format. The returned
-    /// vector's capacity equals its length.
-    fn encode_shuffled(&self, data: &[f64], m: u32) -> Vec<u8> {
-        let mut scratch = crate::scratch::take_bytes();
-        self.encode_shuffled_into(data, m, &mut scratch);
-        let mut out = Vec::with_capacity(scratch.len());
-        out.extend_from_slice(&scratch);
-        crate::scratch::put_bytes(scratch);
-        out
-    }
-
-    /// [`Self::encode_shuffled`], *appending* the body to `out`. The half
-    /// streams are encoded straight onto the tail of `out` (their length
-    /// words backfilled), with the shuffled halves staged through recycled
-    /// per-thread scratch.
+    /// Encode one run of values as a legacy D body, *appending* it to
+    /// `out`: even/odd reshuffle, then a Solution C stream per half. Used
+    /// whole-stream and as the per-segment body encoder of the segmented
+    /// format. The half streams are encoded straight onto the tail of
+    /// `out` (their length words backfilled), with the shuffled halves
+    /// staged through the [`crate::scratch`] pool.
     fn encode_shuffled_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut even = crate::scratch::take_f64s();
         let mut odd = crate::scratch::take_f64s();
@@ -82,9 +71,10 @@ impl SolutionD {
         crate::scratch::put_f64s(even);
     }
 
-    /// Decode one legacy D body (the inverse of [`Self::encode_shuffled`]),
-    /// *appending* the values to `out`. The half streams are staged through
-    /// recycled per-thread scratch before interleaving.
+    /// Decode one legacy D body (the inverse of
+    /// [`Self::encode_shuffled_into`]), *appending* the values to `out`. The
+    /// half streams are staged through the [`crate::scratch`] pool before
+    /// interleaving.
     fn decode_shuffled_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
@@ -95,15 +85,12 @@ impl SolutionD {
         let e_len = bytes::get_u64(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing even length".into()))?
             as usize;
-        let e_bytes = data
-            .get(pos..pos.saturating_add(e_len))
+        let e_bytes = bytes::get_slice(data, &mut pos, e_len)
             .ok_or_else(|| CodecError::Corrupt("truncated even stream".into()))?;
-        pos += e_len;
         let o_len = bytes::get_u64(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing odd length".into()))?
             as usize;
-        let o_bytes = data
-            .get(pos..pos.saturating_add(o_len))
+        let o_bytes = bytes::get_slice(data, &mut pos, o_len)
             .ok_or_else(|| CodecError::Corrupt("truncated odd stream".into()))?;
 
         let mut even = crate::scratch::take_f64s();
@@ -142,16 +129,6 @@ impl Codec for SolutionD {
         "sol_d"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        let m = SolutionC::mantissa_bits(bound)?;
-        match self.inner.segment_values {
-            Some(sv) => Ok(segmented::compress(SEG_MAGIC_D, data, sv, |slice, out| {
-                self.encode_shuffled_into(slice, m, out)
-            })),
-            None => Ok(self.encode_shuffled(data, m)),
-        }
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
@@ -171,12 +148,6 @@ impl Codec for SolutionD {
             None => self.encode_shuffled_into(data, m, out),
         }
         Ok(())
-    }
-
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
@@ -222,19 +193,6 @@ impl PartialCodec for SolutionD {
             &|b, o| self.decode_shuffled_into(b, o),
             out,
         )
-    }
-
-    fn recompress_segments(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CodecError> {
-        let m = SolutionC::mantissa_bits(bound)?;
-        segmented::splice(SEG_MAGIC_D, data, edits, |slice, out| {
-            self.encode_shuffled_into(slice, m, out);
-            Ok(())
-        })
     }
 
     fn recompress_segments_into(

@@ -89,7 +89,9 @@ fn mul_pow2(v: f64, sh: i32) -> f64 {
 }
 
 impl ZfpLike {
-    fn encode_abs(&self, data: &[f64], e: f64) -> Vec<u8> {
+    /// Append the qzstd-compressed embedded bit-plane stream of `data` to
+    /// `out`.
+    fn encode_abs_into(&self, data: &[f64], e: f64, out: &mut Vec<u8>) {
         let mut w = BitWriter::with_bit_capacity(data.len() * 20);
         for chunk in data.chunks(BLOCK) {
             let mut vals = [0.0f64; BLOCK];
@@ -139,20 +141,33 @@ impl ZfpLike {
                 }
             }
         }
-        let payload = w.into_bytes();
         // The bit stream still has structure (runs of zero planes).
-        qzstd::compress(&payload, qzstd::Level::Fast)
+        qzstd::compress_into(w.as_bytes(), qzstd::Level::Fast, out);
     }
 
-    fn decode_abs(&self, payload: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
-        let bits =
-            qzstd::decompress(payload).map_err(|e| CodecError::Corrupt(format!("backend: {e}")))?;
-        let mut r = BitReader::new(&bits);
-        let mut out = Vec::with_capacity(n);
+    /// Decode `n` values from a stream written by [`Self::encode_abs_into`],
+    /// *appending* them to `out`.
+    fn decode_abs_into(
+        &self,
+        payload: &[u8],
+        n: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        let mut bits = crate::scratch::take_bytes();
+        let res = qzstd::decompress_into(payload, &mut bits)
+            .map_err(|e| CodecError::Corrupt(format!("backend: {e}")))
+            .and_then(|()| Self::decode_planes(&bits, n, out));
+        crate::scratch::put_bytes(bits);
+        res
+    }
+
+    fn decode_planes(bits: &[u8], n: usize, out: &mut Vec<f64>) -> Result<(), CodecError> {
+        let mut r = BitReader::new(bits);
         let err = |_| CodecError::Corrupt("bit stream underrun".into());
-        while out.len() < n {
+        let end = out.len() + n;
+        while out.len() < end {
             let nonzero = r.read_bit().map_err(err)?;
-            let take = BLOCK.min(n - out.len());
+            let take = BLOCK.min(end - out.len());
             if !nonzero {
                 out.extend(std::iter::repeat_n(0.0, take));
                 continue;
@@ -189,7 +204,7 @@ impl ZfpLike {
                 out.push(mul_pow2(qi as f64, -sh));
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -198,40 +213,47 @@ impl Codec for ZfpLike {
         "zfp"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+    fn compress_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        out.clear();
         match bound {
             ErrorBound::Absolute(e) if e > 0.0 => {
-                let payload = self.encode_abs(data, e);
-                let mut out = header(MODE_ABS, data.len(), e);
-                out.extend_from_slice(&payload);
-                Ok(crate::codec::exact(out))
+                put_header(out, MODE_ABS, data.len(), e);
+                self.encode_abs_into(data, e, out);
+                Ok(())
             }
             ErrorBound::PointwiseRelative(eps) if eps > 0.0 && eps < 1.0 => {
                 // Log-domain preprocessing (paper §4.1): compress ln|x| with
                 // an absolute bound, carrying signs/zeros out of band.
                 let log_bound = (1.0 + eps).ln() * 0.45; // 0.45: guard for exp/ln rounding
-                let mut signs = vec![0u8; data.len().div_ceil(8)];
-                let mut zeros = vec![0u8; data.len().div_ceil(8)];
-                let mut logs = Vec::with_capacity(data.len());
+                put_header(out, MODE_REL, data.len(), log_bound);
+                let n_logs_at = out.len();
+                bytes::put_u64(out, 0); // log count, backfilled below
+                let bitmap_len = data.len().div_ceil(8);
+                let signs = out.len();
+                let zeros = signs + bitmap_len;
+                out.resize(zeros + bitmap_len, 0);
+                let mut logs = crate::scratch::take_f64s();
                 for (i, &v) in data.iter().enumerate() {
                     if v == 0.0 || !v.is_finite() {
                         // Non-finite inputs are out of scope for the
                         // comparator; they decode as zero.
-                        zeros[i / 8] |= 1 << (i % 8);
+                        out[zeros + i / 8] |= 1 << (i % 8);
                         continue;
                     }
                     if v.is_sign_negative() {
-                        signs[i / 8] |= 1 << (i % 8);
+                        out[signs + i / 8] |= 1 << (i % 8);
                     }
                     logs.push(v.abs().ln());
                 }
-                let payload = self.encode_abs(&logs, log_bound);
-                let mut out = header(MODE_REL, data.len(), log_bound);
-                bytes::put_u64(&mut out, logs.len() as u64);
-                out.extend_from_slice(&signs);
-                out.extend_from_slice(&zeros);
-                out.extend_from_slice(&payload);
-                Ok(crate::codec::exact(out))
+                out[n_logs_at..n_logs_at + 8].copy_from_slice(&(logs.len() as u64).to_le_bytes());
+                self.encode_abs_into(&logs, log_bound, out);
+                crate::scratch::put_f64s(logs);
+                Ok(())
             }
             ErrorBound::Lossless => Err(CodecError::UnsupportedBound(
                 "zfp-like codec is fixed-accuracy only",
@@ -240,7 +262,8 @@ impl Codec for ZfpLike {
         }
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
+    fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+        out.clear();
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
@@ -256,39 +279,38 @@ impl Codec for ZfpLike {
         let _bound = bytes::get_f64(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing bound".into()))?;
         match mode {
-            MODE_ABS => self.decode_abs(&data[pos..], n),
+            MODE_ABS => self.decode_abs_into(&data[pos..], n, out),
             MODE_REL => {
                 let n_logs = bytes::get_u64(data, &mut pos)
                     .ok_or_else(|| CodecError::Corrupt("missing log count".into()))?
                     as usize;
                 let bitmap_len = n.div_ceil(8);
-                let signs = data
-                    .get(pos..pos + bitmap_len)
-                    .ok_or_else(|| CodecError::Corrupt("truncated signs".into()))?
-                    .to_vec();
-                pos += bitmap_len;
-                let zeros = data
-                    .get(pos..pos + bitmap_len)
-                    .ok_or_else(|| CodecError::Corrupt("truncated zeros".into()))?
-                    .to_vec();
-                pos += bitmap_len;
-                let logs = self.decode_abs(&data[pos..], n_logs)?;
-                let mut out = Vec::with_capacity(n);
-                let mut li = 0usize;
-                for i in 0..n {
-                    if zeros[i / 8] >> (i % 8) & 1 == 1 {
-                        out.push(0.0);
-                        continue;
-                    }
-                    let mag = logs
-                        .get(li)
-                        .ok_or_else(|| CodecError::Corrupt("log underrun".into()))?
-                        .exp();
-                    li += 1;
-                    let neg = signs[i / 8] >> (i % 8) & 1 == 1;
-                    out.push(if neg { -mag } else { mag });
-                }
-                Ok(out)
+                let signs = bytes::get_slice(data, &mut pos, bitmap_len)
+                    .ok_or_else(|| CodecError::Corrupt("truncated signs".into()))?;
+                let zeros = bytes::get_slice(data, &mut pos, bitmap_len)
+                    .ok_or_else(|| CodecError::Corrupt("truncated zeros".into()))?;
+                let mut logs = crate::scratch::take_f64s();
+                let res = self
+                    .decode_abs_into(&data[pos..], n_logs, &mut logs)
+                    .and_then(|()| {
+                        let mut li = 0usize;
+                        for i in 0..n {
+                            if zeros[i / 8] >> (i % 8) & 1 == 1 {
+                                out.push(0.0);
+                                continue;
+                            }
+                            let mag = logs
+                                .get(li)
+                                .ok_or_else(|| CodecError::Corrupt("log underrun".into()))?
+                                .exp();
+                            li += 1;
+                            let neg = signs[i / 8] >> (i % 8) & 1 == 1;
+                            out.push(if neg { -mag } else { mag });
+                        }
+                        Ok(())
+                    });
+                crate::scratch::put_f64s(logs);
+                res
             }
             _ => Err(CodecError::Corrupt("unknown mode".into())),
         }
@@ -299,13 +321,11 @@ impl Codec for ZfpLike {
     }
 }
 
-fn header(mode: u8, n: usize, bound: f64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    bytes::put_u32(&mut out, MAGIC);
+fn put_header(out: &mut Vec<u8>, mode: u8, n: usize, bound: f64) {
+    bytes::put_u32(out, MAGIC);
     out.push(mode);
-    bytes::put_u64(&mut out, n as u64);
-    bytes::put_f64(&mut out, bound);
-    out
+    bytes::put_u64(out, n as u64);
+    bytes::put_f64(out, bound);
 }
 
 #[cfg(test)]

@@ -1,17 +1,14 @@
 //! Compressed amplitude blocks (paper §3.1: "Each block is stored in
 //! compressed format on the memory").
 //!
-//! This module is also the allocation seam of the simulation hot path:
-//! [`BlockCodec`] owns a striped [`BufferPool`] of recycled amplitude and
-//! compression buffers plus a set of [`CodecCounters`] that make the
-//! "allocation-free steady state" claim machine-checkable. Every pooled
-//! checkout and every capacity growth observed at this seam is counted, so
-//! a run whose report shows `codec_allocs == 0` provably never touched the
-//! heap for per-block codec work after warm-up.
+//! This module is also the codec seam of the simulation hot path: every
+//! wave decodes blocks through [`BlockCodec::decompress`] and re-encodes
+//! them through [`BlockCodec::compress`]. Scratch buffers on both sides
+//! (decoded amplitudes, encoded output) come from the process-wide
+//! [`qcs_compress::scratch`] pool, the same pool the codec stages use, so
+//! only the shared payload copy of each encoded block is new storage.
 
-use parking_lot::Mutex;
-use qcs_compress::{Codec, CodecError, CodecId, ErrorBound, PartialCodec, QzstdCodec};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use qcs_compress::{scratch, Codec, CodecError, CodecId, ErrorBound, PartialCodec, QzstdCodec};
 use std::sync::Arc;
 
 /// One compressed block of `block_amps` complex amplitudes
@@ -46,155 +43,15 @@ impl CompressedBlock {
     }
 }
 
-/// A drained snapshot of the codec-side allocation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CodecCounterSnapshot {
-    /// Heap allocations observed at the codec seam: pooled-buffer misses
-    /// plus capacity growth of buffers passed through the seam.
-    pub codec_allocs: u64,
-    /// Bytes of capacity growth observed at the codec seam.
-    pub codec_bytes_alloc: u64,
-    /// Buffer checkouts / codec calls that reused existing capacity.
-    pub scratch_reuse_hits: u64,
-}
-
-impl CodecCounterSnapshot {
-    /// Merge another snapshot into this one.
-    pub fn absorb(&mut self, other: &CodecCounterSnapshot) {
-        self.codec_allocs += other.codec_allocs;
-        self.codec_bytes_alloc += other.codec_bytes_alloc;
-        self.scratch_reuse_hits += other.scratch_reuse_hits;
-    }
-}
-
-/// Relaxed atomic counters tracking heap traffic at the codec seam.
-#[derive(Debug, Default)]
-pub struct CodecCounters {
-    codec_allocs: AtomicU64,
-    codec_bytes_alloc: AtomicU64,
-    scratch_reuse_hits: AtomicU64,
-}
-
-impl CodecCounters {
-    fn note_alloc(&self, bytes: u64) {
-        self.codec_allocs.fetch_add(1, Ordering::Relaxed);
-        self.codec_bytes_alloc.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn note_reuse(&self) {
-        self.scratch_reuse_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Read the counters without resetting them.
-    pub fn peek(&self) -> CodecCounterSnapshot {
-        CodecCounterSnapshot {
-            codec_allocs: self.codec_allocs.load(Ordering::Relaxed),
-            codec_bytes_alloc: self.codec_bytes_alloc.load(Ordering::Relaxed),
-            scratch_reuse_hits: self.scratch_reuse_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drain the counters to zero, returning what accumulated since the
-    /// previous drain.
-    pub fn take(&self) -> CodecCounterSnapshot {
-        CodecCounterSnapshot {
-            codec_allocs: self.codec_allocs.swap(0, Ordering::Relaxed),
-            codec_bytes_alloc: self.codec_bytes_alloc.swap(0, Ordering::Relaxed),
-            scratch_reuse_hits: self.scratch_reuse_hits.swap(0, Ordering::Relaxed),
-        }
-    }
-}
-
-/// Stripes in the buffer pool; bounds lock contention under rayon without
-/// holding more idle buffers than a wave can use at once.
-const POOL_STRIPES: usize = 8;
-/// Idle buffers kept per stripe per type; checkouts beyond the bound fall
-/// back to (counted) fresh allocations and returns beyond it are dropped.
-const MAX_POOLED_PER_STRIPE: usize = 4;
-
-#[derive(Default)]
-struct PoolStripe {
-    bytes: Mutex<Vec<Vec<u8>>>,
-    f64s: Mutex<Vec<Vec<f64>>>,
-}
-
-/// A small striped pool of recycled `Vec<u8>` / `Vec<f64>` buffers.
-///
-/// Checkouts and returns are O(1) under a striped [`parking_lot::Mutex`];
-/// the pool is bounded, so it can never hold more than
-/// `POOL_STRIPES * MAX_POOLED_PER_STRIPE` idle buffers of each type.
-#[derive(Default)]
-pub struct BufferPool {
-    stripes: [PoolStripe; POOL_STRIPES],
-    next: AtomicUsize,
-}
-
-impl std::fmt::Debug for BufferPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufferPool").finish()
-    }
-}
-
-impl BufferPool {
-    fn stripe(&self) -> &PoolStripe {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        &self.stripes[i % POOL_STRIPES]
-    }
-
-    fn take_bytes(&self) -> Option<Vec<u8>> {
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        for off in 0..POOL_STRIPES {
-            if let Some(buf) = self.stripes[(start + off) % POOL_STRIPES]
-                .bytes
-                .lock()
-                .pop()
-            {
-                return Some(buf);
-            }
-        }
-        None
-    }
-
-    fn put_bytes(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut stack = self.stripe().bytes.lock();
-        if stack.len() < MAX_POOLED_PER_STRIPE {
-            stack.push(buf);
-        }
-    }
-
-    fn take_f64s(&self) -> Option<Vec<f64>> {
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        for off in 0..POOL_STRIPES {
-            if let Some(buf) = self.stripes[(start + off) % POOL_STRIPES].f64s.lock().pop() {
-                return Some(buf);
-            }
-        }
-        None
-    }
-
-    fn put_f64s(&self, mut buf: Vec<f64>) {
-        buf.clear();
-        let mut stack = self.stripe().f64s.lock();
-        if stack.len() < MAX_POOLED_PER_STRIPE {
-            stack.push(buf);
-        }
-    }
-}
-
 /// Compressor front-end that picks lossless vs lossy per the active ladder
 /// level and stamps blocks with their codec id.
 ///
-/// Codec instances are built once and shared across worker threads, which
-/// keeps the per-block hot path allocation-free apart from output buffers —
-/// and those come from the built-in [`BufferPool`], so the steady state
-/// allocates nothing at all (pinned by [`CodecCounters`]).
+/// Codec instances are built once and shared across worker threads, so no
+/// per-block call constructs a codec.
 pub struct BlockCodec {
     lossy_id: CodecId,
     lossy: Box<dyn Codec>,
     lossless: QzstdCodec,
-    pool: BufferPool,
-    counters: CodecCounters,
 }
 
 impl std::fmt::Debug for BlockCodec {
@@ -212,76 +69,12 @@ impl BlockCodec {
             lossy_id,
             lossy: lossy_id.build(),
             lossless: QzstdCodec::default(),
-            pool: BufferPool::default(),
-            counters: CodecCounters::default(),
         }
     }
 
     /// The configured lossy codec id.
     pub fn lossy_id(&self) -> CodecId {
         self.lossy_id
-    }
-
-    /// Pre-populate the pool with `n` amplitude buffers sized for
-    /// `block_f64s` doubles and `n` byte buffers sized for the worst
-    /// realistic compressed output, so steady-state waves start warm.
-    /// Prewarm allocations are deliberately *not* counted.
-    pub fn prewarm(&self, block_f64s: usize, n: usize) {
-        for _ in 0..n {
-            self.pool.put_f64s(Vec::with_capacity(block_f64s));
-            // Compressed output can exceed the raw size by headers plus
-            // per-segment indexes; 2x raw + change covers every codec.
-            self.pool
-                .put_bytes(Vec::with_capacity(2 * 8 * block_f64s + 1024));
-        }
-    }
-
-    /// Counters tracking heap traffic at this seam.
-    pub fn counters(&self) -> &CodecCounters {
-        &self.counters
-    }
-
-    /// Drain the seam counters (see [`CodecCounters::take`]).
-    pub fn take_counters(&self) -> CodecCounterSnapshot {
-        self.counters.take()
-    }
-
-    /// Check an amplitude scratch buffer out of the pool (counted).
-    pub fn take_amp_buf(&self) -> Vec<f64> {
-        match self.pool.take_f64s() {
-            Some(buf) => {
-                self.counters.note_reuse();
-                buf
-            }
-            None => {
-                self.counters.note_alloc(0);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return an amplitude scratch buffer to the pool.
-    pub fn put_amp_buf(&self, buf: Vec<f64>) {
-        self.pool.put_f64s(buf);
-    }
-
-    /// Check a byte scratch buffer out of the pool (counted).
-    pub fn take_byte_buf(&self) -> Vec<u8> {
-        match self.pool.take_bytes() {
-            Some(buf) => {
-                self.counters.note_reuse();
-                buf
-            }
-            None => {
-                self.counters.note_alloc(0);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a byte scratch buffer to the pool.
-    pub fn put_byte_buf(&self, buf: Vec<u8>) {
-        self.pool.put_bytes(buf);
     }
 
     /// The resident (pre-built, shared) codec instance for `id`, if this
@@ -301,52 +94,23 @@ impl BlockCodec {
     ///
     /// `ErrorBound::Lossless` uses the qzstd codec (the paper's Zstd leg);
     /// lossy bounds use the configured lossy codec (Solution C by default).
+    /// The codec writes into a [`scratch`] buffer and only the shared
+    /// payload copy (`Arc<[u8]>`, storage rather than scratch) is new.
     pub fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<CompressedBlock, CodecError> {
-        let (id, bytes) = if bound.is_lossy() {
-            (self.lossy_id, self.lossy.compress(data, bound)?)
+        let (id, codec): (CodecId, &dyn Codec) = if bound.is_lossy() {
+            (self.lossy_id, &*self.lossy)
         } else {
-            (CodecId::Qzstd, self.lossless.compress(data, bound)?)
+            (CodecId::Qzstd, &self.lossless)
         };
-        // Every crate codec returns exact-capacity output, so this
-        // conversion moves the allocation instead of copying through a
-        // reallocation.
-        debug_assert_eq!(bytes.capacity(), bytes.len());
-        Ok(CompressedBlock {
-            codec: id,
-            bound,
-            bytes: bytes.into(),
-        })
-    }
-
-    /// [`BlockCodec::compress`] through a pooled output buffer: the codec
-    /// writes into recycled scratch and only the final shared payload copy
-    /// (`Arc<[u8]>`, storage rather than scratch) touches the allocator.
-    /// Pool misses and scratch growth are counted.
-    pub fn compress_pooled(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-    ) -> Result<CompressedBlock, CodecError> {
-        let mut buf = self.take_byte_buf();
-        let cap_before = buf.capacity();
-        let (id, res) = if bound.is_lossy() {
-            (
-                self.lossy_id,
-                self.lossy.compress_into(data, bound, &mut buf),
-            )
-        } else {
-            (
-                CodecId::Qzstd,
-                self.lossless.compress_into(data, bound, &mut buf),
-            )
-        };
-        self.note_growth(cap_before, buf.capacity(), 1);
-        let block = res.map(|()| CompressedBlock {
-            codec: id,
-            bound,
-            bytes: Arc::from(&buf[..]),
-        });
-        self.put_byte_buf(buf);
+        let mut buf = scratch::take_bytes();
+        let block = codec
+            .compress_into(data, bound, &mut buf)
+            .map(|()| CompressedBlock {
+                codec: id,
+                bound,
+                bytes: Arc::from(&buf[..]),
+            });
+        scratch::put_bytes(buf);
         block
     }
 
@@ -370,30 +134,15 @@ impl BlockCodec {
     ///
     /// Blocks from the resident codecs decode through the shared instances
     /// (no per-call codec construction); only foreign codec ids fall back
-    /// to building a codec. Capacity growth of `out` is counted; a decode
-    /// that fits the existing capacity counts as a scratch reuse.
+    /// to building a codec.
     pub fn decompress(
         &self,
         block: &CompressedBlock,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let cap_before = out.capacity();
-        let res = match self.resident_codec(block.codec) {
+        match self.resident_codec(block.codec) {
             Some(codec) => codec.decompress_into(&block.bytes, out),
             None => block.codec.build().decompress_into(&block.bytes, out),
-        };
-        self.note_growth(cap_before, out.capacity(), 8);
-        res
-    }
-
-    /// Count a capacity transition observed at the seam: growth is an
-    /// allocation of the grown bytes, staying put is a reuse hit.
-    pub(crate) fn note_growth(&self, cap_before: usize, cap_after: usize, elem_size: u64) {
-        if cap_after > cap_before {
-            self.counters
-                .note_alloc((cap_after - cap_before) as u64 * elem_size);
-        } else {
-            self.counters.note_reuse();
         }
     }
 }
@@ -484,48 +233,5 @@ mod tests {
         let mut out = Vec::new();
         bc.decompress(&blk, &mut out).unwrap();
         assert_eq!(out.len(), data.len());
-    }
-
-    #[test]
-    fn pooled_compress_matches_allocating_compress() {
-        let bc = BlockCodec::new(CodecId::SolutionC);
-        let data = amps(4096);
-        for bound in [ErrorBound::Lossless, ErrorBound::PointwiseRelative(1e-4)] {
-            let plain = bc.compress(&data, bound).unwrap();
-            let pooled = bc.compress_pooled(&data, bound).unwrap();
-            assert_eq!(plain.codec, pooled.codec);
-            assert_eq!(&plain.bytes[..], &pooled.bytes[..]);
-        }
-    }
-
-    #[test]
-    fn counters_reach_zero_allocs_once_warm() {
-        let bc = BlockCodec::new(CodecId::SolutionC);
-        let data = amps(4096);
-        bc.prewarm(data.len(), 2);
-        // Warm-up pass: scratch grows to the working size.
-        let blk = bc
-            .compress_pooled(&data, ErrorBound::PointwiseRelative(1e-4))
-            .unwrap();
-        let mut out = bc.take_amp_buf();
-        bc.decompress(&blk, &mut out).unwrap();
-        bc.put_amp_buf(out);
-        bc.take_counters();
-        // Steady state: every round must be allocation-free at the seam.
-        for _ in 0..3 {
-            let blk = bc
-                .compress_pooled(&data, ErrorBound::PointwiseRelative(1e-4))
-                .unwrap();
-            let mut out = bc.take_amp_buf();
-            bc.decompress(&blk, &mut out).unwrap();
-            bc.put_amp_buf(out);
-        }
-        let snap = bc.take_counters();
-        assert_eq!(snap.codec_allocs, 0, "steady state allocated: {snap:?}");
-        assert_eq!(snap.codec_bytes_alloc, 0);
-        assert!(
-            snap.scratch_reuse_hits >= 9,
-            "expected reuse hits: {snap:?}"
-        );
     }
 }

@@ -244,14 +244,6 @@ pub struct SimReport {
     pub segment_bytes_read: u64,
     /// Compressed stream bytes whole-block decodes would have consumed.
     pub segment_bytes_full: u64,
-    /// Codec-side scratch buffers the hot path had to heap-allocate (pool
-    /// misses plus mid-wave growth; 0 in an allocation-free steady state).
-    pub codec_allocs: u64,
-    /// Bytes those codec-side allocations and growths requested.
-    pub codec_bytes_alloc: u64,
-    /// Scratch requests served by recycling a pooled buffer without
-    /// touching the allocator.
-    pub scratch_reuse_hits: u64,
 }
 
 impl SimReport {
@@ -436,12 +428,6 @@ impl CompressedSimulator {
         debug_assert_eq!(blocks.len(), ranks * bpr);
         let cache = Arc::new(BlockCache::new(cfg.cache_lines));
         let metrics = Metrics::new();
-        // Warm the codec's scratch pool so even the first waves run
-        // allocation-free (prewarm is deliberately uncounted).
-        codec.prewarm(
-            layout.block_amps() * 2,
-            (4 * rayon::current_num_threads() + 4).min(32),
-        );
 
         // Remote transport takes precedence over the in-process backends
         // (even at one rank): the blocks ship to the daemons during the
@@ -1274,12 +1260,6 @@ impl CompressedSimulator {
 
     /// Progress/result report (Table 2 rows).
     pub fn report(&self) -> SimReport {
-        // Drain the codec's scratch counters into the shared sink so the
-        // report reflects allocations up to this instant (remote workers
-        // drain their own codecs and ship deltas over the wire instead).
-        let c = self.codec.take_counters();
-        self.metrics
-            .add_codec_counters(c.codec_allocs, c.codec_bytes_alloc, c.scratch_reuse_hits);
         let breakdown = self.metrics.breakdown();
         SimReport {
             num_qubits: self.layout.num_qubits,
@@ -1318,9 +1298,6 @@ impl CompressedSimulator {
             segments_full: breakdown.segments_full,
             segment_bytes_read: breakdown.segment_bytes_read,
             segment_bytes_full: breakdown.segment_bytes_full,
-            codec_allocs: breakdown.codec_allocs,
-            codec_bytes_alloc: breakdown.codec_bytes_alloc,
-            scratch_reuse_hits: breakdown.scratch_reuse_hits,
             breakdown,
         }
     }

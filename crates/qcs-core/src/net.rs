@@ -228,8 +228,8 @@ fn take_lookahead(cur: &mut Cursor) -> Result<Lookahead, NetError> {
 /// exact on-disk format, so the spill tier and the wire share one
 /// encoding.
 fn put_block(buf: &mut Vec<u8>, block: &CompressedBlock) {
-    cframe::write_frame(buf, block.codec, block.bound, &block.bytes)
-        .expect("in-memory block frame write cannot fail");
+    cframe::encode_frame_into(block.codec, block.bound, &block.bytes, buf)
+        .expect("block payloads fit the frame cap");
 }
 
 fn take_block(cur: &mut Cursor) -> Result<CompressedBlock, NetError> {
@@ -277,9 +277,6 @@ pub(crate) fn put_breakdown(buf: &mut Vec<u8>, b: &TimeBreakdown) {
         b.segments_full,
         b.segment_bytes_read,
         b.segment_bytes_full,
-        b.codec_allocs,
-        b.codec_bytes_alloc,
-        b.scratch_reuse_hits,
     ] {
         put_u64(buf, v);
     }
@@ -316,9 +313,6 @@ pub(crate) fn take_breakdown(cur: &mut Cursor) -> Result<TimeBreakdown, NetError
         segments_full: cur.take_u64()?,
         segment_bytes_read: cur.take_u64()?,
         segment_bytes_full: cur.take_u64()?,
-        codec_allocs: cur.take_u64()?,
-        codec_bytes_alloc: cur.take_u64()?,
-        scratch_reuse_hits: cur.take_u64()?,
     })
 }
 
@@ -1020,10 +1014,6 @@ fn build_worker(
     }
     let cfg = &hello.cfg;
     let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
-    codec.prewarm(
-        layout.block_amps() * 2,
-        (4 * rayon::current_num_threads() + 4).min(32),
-    );
     let cache = Arc::new(BlockCache::new(cfg.cache_lines));
     let store: Box<dyn BlockStore> = match &cfg.spill {
         Some(spill) => {

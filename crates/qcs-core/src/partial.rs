@@ -38,7 +38,7 @@
 
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::worker::BatchPlan;
-use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentEdit, SegmentIndex};
+use qcs_compress::{scratch, CodecError, ErrorBound, PartialCodec, SegmentEdit, SegmentIndex};
 use qcs_statevec::{Complex64, Gate1};
 use std::ops::Range;
 use std::sync::Arc;
@@ -220,11 +220,9 @@ fn segmented_view<'a>(
 
 /// Decode each segment in `segs`, run `transform` over it (with its base
 /// amplitude offset), and splice the re-encoded bodies back into the
-/// stream. Segment scratch and the spliced output come from the codec's
-/// buffer pool, so a steady-state partial wave allocates nothing.
-#[allow(clippy::too_many_arguments)]
+/// stream. Segment scratch and the spliced output come from the
+/// [`scratch`] pool.
 fn rewrite_segments(
-    codec: &BlockCodec,
     p: &dyn PartialCodec,
     blk: &CompressedBlock,
     index: &SegmentIndex,
@@ -240,7 +238,7 @@ fn rewrite_segments(
             .bytes
             .get(index.byte_range(s))
             .ok_or_else(|| CodecError::Corrupt(format!("segment {s} body out of bounds")))?;
-        let mut vals = codec.take_amp_buf();
+        let mut vals = scratch::take_f64s();
         p.decompress_segment(index, s, body, &mut vals)?;
         decoded.push(vals);
     }
@@ -261,16 +259,14 @@ fn rewrite_segments(
             values: vals,
         })
         .collect();
-    let mut out = codec.take_byte_buf();
-    let cap_before = out.capacity();
+    let mut out = scratch::take_bytes();
     p.recompress_segments_into(&blk.bytes, &edits, bound, &mut out)?;
-    codec.note_growth(cap_before, out.capacity(), 1);
     let bytes: Arc<[u8]> = Arc::from(&out[..]);
     let compress = t.elapsed();
     drop(edits);
-    codec.put_byte_buf(out);
+    scratch::put_bytes(out);
     for vals in decoded {
-        codec.put_amp_buf(vals);
+        scratch::put_f64s(vals);
     }
 
     let stats = partial_stats(index, segs, blk.bytes.len());
@@ -323,16 +319,9 @@ pub(crate) fn partial_gate(
     let Some(segs) = touched_segments(&index, sa_bits, touch) else {
         return Ok(None);
     };
-    rewrite_segments(
-        codec,
-        p,
-        blk,
-        &index,
-        sa_bits,
-        &segs,
-        bound,
-        |base, vals| apply_diagonal_at(vals, base, offset_bit, gate, cmask),
-    )
+    rewrite_segments(p, blk, &index, sa_bits, &segs, bound, |base, vals| {
+        apply_diagonal_at(vals, base, offset_bit, gate, cmask)
+    })
     .map(Some)
 }
 
@@ -370,20 +359,11 @@ pub(crate) fn partial_batch(
     if segs.len() * 2 > index.n_segs() {
         return Ok(None);
     }
-    rewrite_segments(
-        codec,
-        p,
-        blk,
-        &index,
-        sa_bits,
-        &segs,
-        bound,
-        |base, vals| {
-            for plan in &firing {
-                apply_diagonal_at(vals, base, plan.offset_bit, &plan.gate, plan.offset_cmask);
-            }
-        },
-    )
+    rewrite_segments(p, blk, &index, sa_bits, &segs, bound, |base, vals| {
+        for plan in &firing {
+            apply_diagonal_at(vals, base, plan.offset_bit, &plan.gate, plan.offset_cmask);
+        }
+    })
     .map(Some)
 }
 
@@ -416,7 +396,7 @@ pub(crate) fn partial_collapse(
             .bytes
             .get(index.byte_range(s))
             .ok_or_else(|| CodecError::Corrupt(format!("segment {s} body out of bounds")))?;
-        let mut vals = codec.take_amp_buf();
+        let mut vals = scratch::take_f64s();
         p.decompress_segment(&index, s, body, &mut vals)?;
         decoded.push(vals);
     }
@@ -444,16 +424,14 @@ pub(crate) fn partial_collapse(
             edits.push(SegmentEdit::Zero { seg: s });
         }
     }
-    let mut out = codec.take_byte_buf();
-    let cap_before = out.capacity();
+    let mut out = scratch::take_bytes();
     p.recompress_segments_into(&blk.bytes, &edits, bound, &mut out)?;
-    codec.note_growth(cap_before, out.capacity(), 1);
     let bytes: Arc<[u8]> = Arc::from(&out[..]);
     let compress = t.elapsed();
     drop(edits);
-    codec.put_byte_buf(out);
+    scratch::put_bytes(out);
     for vals in decoded {
-        codec.put_amp_buf(vals);
+        scratch::put_f64s(vals);
     }
 
     let stats = partial_stats(&index, &kept_segs, blk.bytes.len());

@@ -193,9 +193,6 @@ pub fn put_sim_report(buf: &mut Vec<u8>, report: &SimReport) {
         report.segments_full,
         report.segment_bytes_read,
         report.segment_bytes_full,
-        report.codec_allocs,
-        report.codec_bytes_alloc,
-        report.scratch_reuse_hits,
     ] {
         put_u64(buf, v);
     }
@@ -247,9 +244,6 @@ pub fn take_sim_report(cur: &mut Cursor) -> Result<SimReport, NetError> {
         segments_full: cur.take_u64()?,
         segment_bytes_read: cur.take_u64()?,
         segment_bytes_full: cur.take_u64()?,
-        codec_allocs: cur.take_u64()?,
-        codec_bytes_alloc: cur.take_u64()?,
-        scratch_reuse_hits: cur.take_u64()?,
     })
 }
 
@@ -320,9 +314,6 @@ mod tests {
             segments_full: 21,
             segment_bytes_read: 22,
             segment_bytes_full: 23,
-            codec_allocs: 24,
-            codec_bytes_alloc: 25,
-            scratch_reuse_hits: 26,
         };
         let mut buf = Vec::new();
         put_sim_report(&mut buf, &report);

@@ -1723,8 +1723,10 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         if result.is_ok() {
             let mut off = base;
             for (slot, gen, blk) in &blks {
-                match frame::write_frame(&mut buf, blk.codec, blk.bound, &blk.bytes) {
-                    Ok(len) => {
+                let start = buf.len();
+                match frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut buf) {
+                    Ok(()) => {
+                        let len = buf.len() - start;
                         written.push((*slot, *gen, off, len as u32));
                         off += len as u64;
                     }

@@ -118,7 +118,7 @@ use crate::partial::{self, PartialStats};
 use crate::store::BlockStore;
 use qcs_circuits::schedule::mix;
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
-use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
+use qcs_compress::{scratch, CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -361,7 +361,7 @@ impl exec::Worker for RankWorker {
     type Resp = Result<WorkerOut, SimError>;
 
     fn handle(&mut self, cmd: WorkerCmd) -> Result<WorkerOut, SimError> {
-        let out = match cmd {
+        match cmd {
             WorkerCmd::Gate(g) => self.apply_gate(&g).map(WorkerOut::Wave),
             WorkerCmd::Exchange(x) => self.exchange(x).map(WorkerOut::Wave),
             WorkerCmd::Batch(b) => self.apply_batch(&b).map(WorkerOut::Wave),
@@ -375,15 +375,7 @@ impl exec::Worker for RankWorker {
                 .map(WorkerOut::Wave),
             WorkerCmd::Recompress { bound } => self.recompress_all(bound).map(WorkerOut::Wave),
             other => self.query(other),
-        };
-        // Drain the codec's scratch counters into the metrics sink after
-        // every command so remote daemons ship them in the per-command
-        // delta; `take` swaps to zero, so shared-codec ranks never double
-        // count.
-        let c = self.codec.take_counters();
-        self.metrics
-            .add_codec_counters(c.codec_allocs, c.codec_bytes_alloc, c.scratch_reuse_hits);
-        out
+        }
     }
 }
 
@@ -854,7 +846,7 @@ impl RankWorker {
                     }
                 }
             }
-            let mut buf = codec.take_amp_buf();
+            let mut buf = scratch::take_f64s();
             codec.decompress(blk, &mut buf)?;
             match scope {
                 ControlScope::InBlock { offset_bit } => {
@@ -884,8 +876,8 @@ impl RankWorker {
                     }
                 }
             }
-            let out = codec.compress_pooled(&buf, bound)?;
-            codec.put_amp_buf(buf);
+            let out = codec.compress(&buf, bound)?;
+            scratch::put_f64s(buf);
             Ok(out)
         })?;
         Ok(self.wave_out(bound.is_lossy()))
@@ -894,10 +886,10 @@ impl RankWorker {
     fn recompress_all(&mut self, bound: ErrorBound) -> Result<WaveOut, SimError> {
         let codec = Arc::clone(&self.codec);
         self.rewrite_blocks(|_, blk| {
-            let mut buf = codec.take_amp_buf();
+            let mut buf = scratch::take_f64s();
             codec.decompress(blk, &mut buf)?;
-            let out = codec.compress_pooled(&buf, bound)?;
-            codec.put_amp_buf(buf);
+            let out = codec.compress(&buf, bound)?;
+            scratch::put_f64s(buf);
             Ok(out)
         })?;
         Ok(self.wave_out(bound.is_lossy()))
@@ -949,7 +941,7 @@ impl RankWorker {
             if selected_whole == Some(false) {
                 return Ok(0.0);
             }
-            let mut buf = codec.take_amp_buf();
+            let mut buf = scratch::take_f64s();
             codec.decompress(blk, &mut buf)?;
             let sum = match scope {
                 ControlScope::InBlock { offset_bit } => {
@@ -961,7 +953,7 @@ impl RankWorker {
                 }
                 _ => buf.iter().map(|v| v * v).sum(),
             };
-            codec.put_amp_buf(buf);
+            scratch::put_f64s(buf);
             Ok(sum)
         })?;
         Ok(sums.into_iter().sum())
@@ -1112,13 +1104,13 @@ impl RankWorker {
         }
 
         // Whole-block fallback (lossless blocks, foreign streams).
-        let mut buf = self.codec.take_amp_buf();
+        let mut buf = scratch::take_f64s();
         self.codec.decompress(&blk, &mut buf)?;
         let sum = (0..buf.len() / 2)
             .filter(|o| o & bit != 0)
             .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
             .sum();
-        self.codec.put_amp_buf(buf);
+        scratch::put_f64s(buf);
         Ok(sum)
     }
 
@@ -1131,10 +1123,10 @@ impl RankWorker {
     fn weights(&self) -> Result<Vec<f64>, SimError> {
         let codec = Arc::clone(&self.codec);
         self.map_blocks(|_, blk| {
-            let mut buf = codec.take_amp_buf();
+            let mut buf = scratch::take_f64s();
             codec.decompress(blk, &mut buf)?;
             let sum = buf.iter().map(|v| v * v).sum();
-            codec.put_amp_buf(buf);
+            scratch::put_f64s(buf);
             Ok(sum)
         })
     }
@@ -1145,7 +1137,7 @@ impl RankWorker {
         let codec = Arc::clone(&self.codec);
         let terms = self.map_blocks(|bidx, blk| {
             let base = layout.join(rank, bidx, 0);
-            let mut buf = codec.take_amp_buf();
+            let mut buf = scratch::take_f64s();
             codec.decompress(blk, &mut buf)?;
             let mut acc = 0.0;
             for o in 0..buf.len() / 2 {
@@ -1154,7 +1146,7 @@ impl RankWorker {
                 let w = buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1];
                 acc += if parity == 0 { w } else { -w };
             }
-            codec.put_amp_buf(buf);
+            scratch::put_f64s(buf);
             Ok(acc)
         })?;
         Ok(terms.into_iter().sum())
@@ -1270,8 +1262,8 @@ fn process_one(
     // Decompress (into the MCDRAM-modeled scratch, pooled so steady-state
     // waves recycle warm buffers instead of allocating per block).
     let t = Instant::now();
-    let mut buf_a = codec.take_amp_buf();
-    let mut buf_b = codec.take_amp_buf();
+    let mut buf_a = scratch::take_f64s();
+    let mut buf_b = scratch::take_f64s();
     codec.decompress(&unit.in_a, &mut buf_a)?;
     if let Some(in_b) = &unit.in_b {
         codec.decompress(in_b, &mut buf_b)?;
@@ -1292,15 +1284,15 @@ fn process_one(
 
     // Recompress.
     let t = Instant::now();
-    let out_a = codec.compress_pooled(&buf_a, bound)?;
+    let out_a = codec.compress(&buf_a, bound)?;
     let out_b = if unit.in_b.is_some() {
-        Some(codec.compress_pooled(&buf_b, bound)?)
+        Some(codec.compress(&buf_b, bound)?)
     } else {
         None
     };
     timings[0] += t.elapsed();
-    codec.put_amp_buf(buf_b);
-    codec.put_amp_buf(buf_a);
+    scratch::put_f64s(buf_b);
+    scratch::put_f64s(buf_a);
 
     cache.insert(
         op_signature,
@@ -1388,7 +1380,7 @@ fn process_batch_unit(
     }
 
     let t = Instant::now();
-    let mut buf = codec.take_amp_buf();
+    let mut buf = scratch::take_f64s();
     codec.decompress(&unit.block, &mut buf)?;
     timings[1] += t.elapsed();
 
@@ -1410,9 +1402,9 @@ fn process_batch_unit(
     timings[3] += t.elapsed();
 
     let t = Instant::now();
-    let out = codec.compress_pooled(&buf, bound)?;
+    let out = codec.compress(&buf, bound)?;
     timings[0] += t.elapsed();
-    codec.put_amp_buf(buf);
+    scratch::put_f64s(buf);
 
     cache.insert(sig, &unit.block, None, &out, None);
 

@@ -230,9 +230,6 @@ fn arb_report() -> impl Strategy<Value = SimReport> {
                     segments_full: a ^ l,
                     segment_bytes_read: b ^ k,
                     segment_bytes_full: c ^ j,
-                    codec_allocs: d ^ i,
-                    codec_bytes_alloc: e ^ h,
-                    scratch_reuse_hits: f ^ g,
                     breakdown: Default::default(),
                 };
                 r.breakdown.compression = Duration::from_nanos(a & ((1 << 50) - 1));
@@ -261,9 +258,6 @@ fn arb_report() -> impl Strategy<Value = SimReport> {
                 r.breakdown.segments_full = l;
                 r.breakdown.segment_bytes_read = a ^ b;
                 r.breakdown.segment_bytes_full = c ^ d;
-                r.breakdown.codec_allocs = e ^ f;
-                r.breakdown.codec_bytes_alloc = g ^ h;
-                r.breakdown.scratch_reuse_hits = i ^ j;
                 r
             },
         )

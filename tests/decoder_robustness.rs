@@ -159,3 +159,163 @@ fn checkpoint_loader_survives_corruption() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+// --- hostile length fields ------------------------------------------------
+//
+// Random bytes almost never form a valid header followed by a length near
+// `usize::MAX`, so each decoder gets one hand-built stream with such a
+// length field. In the Huffman, Solution C, SZ and fpzip decoders the length
+// is added to a stream position, and an unchecked `pos + len` overflows
+// (debug builds, what `cargo test` runs, panic on it); Solution D and zfp
+// are covered for the same shape of input. A decoder must return `Err`.
+
+/// A length field at the edge of the address space.
+const HOSTILE: u64 = u64::MAX;
+
+fn le32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn le64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Wrap a pre-backend body the way the codecs do: one fast qzstd pass.
+fn backend(body: &[u8]) -> Vec<u8> {
+    qcsim::compress::qzstd::compress(body, qcsim::compress::qzstd::Level::Fast)
+}
+
+#[test]
+fn huffman_rejects_a_hostile_payload_length() {
+    use qcsim::compress::huffman;
+    let mut enc = huffman::encode(&[1, 2, 3, 1], 4).unwrap();
+    // alphabet u32 | count u64 | header_len u32 | header | payload_len u64
+    let header_len = u32::from_le_bytes(enc[12..16].try_into().unwrap()) as usize;
+    let at = 16 + header_len;
+    enc[at..at + 8].copy_from_slice(&HOSTILE.to_le_bytes());
+    assert!(huffman::decode(&enc).is_err());
+}
+
+#[test]
+fn solution_c_rejects_hostile_codes_and_suffix_lengths() {
+    use qcsim::compress::trunc::SolutionC;
+    use qcsim::compress::Codec as _;
+    // magic | n u64 | m u8 | codes_len u64 | codes | suffix_len u64 | ...
+    let head = |body: &mut Vec<u8>| {
+        le32(body, 0x5143_5343);
+        le64(body, 1);
+        body.push(52);
+    };
+    let mut codes = Vec::new();
+    head(&mut codes);
+    le64(&mut codes, HOSTILE);
+    let mut suffix = Vec::new();
+    head(&mut suffix);
+    le64(&mut suffix, 1);
+    suffix.push(0);
+    le64(&mut suffix, HOSTILE);
+    for body in [codes, suffix] {
+        assert!(SolutionC::whole_stream()
+            .decompress(&backend(&body))
+            .is_err());
+    }
+}
+
+#[test]
+fn solution_d_rejects_hostile_half_stream_lengths() {
+    use qcsim::compress::trunc::SolutionD;
+    use qcsim::compress::Codec as _;
+    // magic | even_len u64 | even | odd_len u64 | odd
+    let mut even = Vec::new();
+    le32(&mut even, 0x5143_5344);
+    le64(&mut even, HOSTILE);
+    let mut odd = Vec::new();
+    le32(&mut odd, 0x5143_5344);
+    le64(&mut odd, 0);
+    le64(&mut odd, HOSTILE);
+    for stream in [even, odd] {
+        assert!(SolutionD::whole_stream().decompress(&stream).is_err());
+    }
+}
+
+#[test]
+fn sz_rejects_hostile_stream_lengths() {
+    use qcsim::compress::huffman;
+    // magic | mode u8 | bound f64 | backend(body)
+    let stream = |mode: u8, body: &[u8]| {
+        let mut s = Vec::new();
+        le32(&mut s, 0x5143_535A);
+        s.push(mode);
+        s.extend_from_slice(&1e-3f64.to_le_bytes());
+        s.extend_from_slice(&backend(body));
+        s
+    };
+    // Absolute mode: n u64 | huff_len u64 | huff | outlier_len u64 | ...
+    let mut huff_len = Vec::new();
+    le64(&mut huff_len, 0);
+    le64(&mut huff_len, HOSTILE);
+    let empty = huffman::encode(&[], 4).unwrap();
+    let mut outlier_len = Vec::new();
+    le64(&mut outlier_len, 0);
+    le64(&mut outlier_len, empty.len() as u64);
+    outlier_len.extend_from_slice(&empty);
+    le64(&mut outlier_len, HOSTILE);
+    // Relative mode: n u64 | log_bound f64 | signs | zeros | n_exc u64
+    // | exceptions | inner_len u64 | inner
+    let mut inner_len = Vec::new();
+    le64(&mut inner_len, 0);
+    inner_len.extend_from_slice(&1e-3f64.to_le_bytes());
+    le64(&mut inner_len, 0);
+    le64(&mut inner_len, HOSTILE);
+    let mut bitmaps = Vec::new();
+    le64(&mut bitmaps, HOSTILE);
+    bitmaps.extend_from_slice(&1e-3f64.to_le_bytes());
+    for id in [CodecId::SolutionA, CodecId::SolutionB] {
+        let codec = id.build();
+        for s in [
+            stream(0, &huff_len),
+            stream(0, &outlier_len),
+            stream(1, &inner_len),
+            stream(1, &bitmaps),
+        ] {
+            assert!(codec.decompress(&s).is_err(), "{id}");
+        }
+    }
+}
+
+#[test]
+fn fpzip_rejects_hostile_lens_and_payload_lengths() {
+    // backend(magic | n u64 | precision u8 | lens_len u64 | lens
+    //         | payload_len u64 | payload | ...)
+    let head = |body: &mut Vec<u8>| {
+        le32(body, 0x5143_465A);
+        le64(body, 0);
+        body.push(64);
+    };
+    let mut lens = Vec::new();
+    head(&mut lens);
+    le64(&mut lens, HOSTILE);
+    let mut payload = Vec::new();
+    head(&mut payload);
+    le64(&mut payload, 0);
+    le64(&mut payload, HOSTILE);
+    let codec = CodecId::Fpzip.build();
+    for body in [lens, payload] {
+        assert!(codec.decompress(&backend(&body)).is_err());
+    }
+}
+
+/// The value count sizes the sign and zero bitmaps, which would run far
+/// past the end of the stream: a truncated-bitmap rejection (the bitmap
+/// length, `n / 8`, is too small to overflow a position).
+#[test]
+fn zfp_rejects_a_hostile_value_count() {
+    // magic | mode u8 | n u64 | bound f64 | n_logs u64 | signs | zeros | ...
+    let mut s = Vec::new();
+    le32(&mut s, 0x5143_5A46);
+    s.push(1);
+    le64(&mut s, HOSTILE);
+    s.extend_from_slice(&1e-3f64.to_le_bytes());
+    le64(&mut s, 0);
+    assert!(CodecId::Zfp.build().decompress(&s).is_err());
+}
